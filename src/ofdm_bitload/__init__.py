@@ -7,18 +7,17 @@ per-subcarrier bit allocation under a mean-BER constraint, throughput
 sweep experiments, and a symbol-level verification oracle.
 """
 
-from .allocator import AllocationResult, AllocationStatus, allocate, allocate_links, mean_ber
+from .allocator import AllocationResult, AllocationStatus, allocate, mean_ber
 from .channel import ChannelRealization, draw_realization, pdp_constant
 from .config import (ChannelConfig, LinkConfig, NbConfig, OfdmConfig, SystemConfig,
-                     cp_loss_factor, dump_config, load_config, parse_config,
-                     updated, validate)
+                     dump_config, load_config, parse_config, updated, validate)
 from .errors import DomainError, NotSupportedError
 from .experiments import (SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial,
                           write_sweep_csv, write_sweep_json)
 from .interference import (InterferenceProfile, RrcPulse, analytic_variance,
                            calibrate_sigma_b2, calibrated_profile, mc_variance,
                            mc_variance_and_power, synthesize_nb_blocks)
-from .link import Constellation, SubcarrierLink, ber, q_function, sinr
+from .link import Constellation, ber, q_function, sinr
 from .verifier import (EmpiricalBer, gaussian_premise_report, measure_allocation_ber,
                        measure_ber, verify_allocation)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .link import ACTIVE_LADDER, Constellation, SubcarrierLink, ber
+from .link import ACTIVE_LADDER, Constellation, ber
 
 
 # plain-int lookups for the hot loop: constellation by bits per symbol, and
@@ -115,8 +115,3 @@ def allocate(sinrs, target_ber: float, cp_loss: float,
         if trace is not None:
             trace.append((iterations, k, _BY_BITS[m_new],
                           num / den if den else float("nan")))
-
-
-def allocate_links(links: list[SubcarrierLink], target_ber: float,
-                   cp_loss: float, trace: list | None = None) -> AllocationResult:
-    return allocate(np.array([l.sinr for l in links]), target_ber, cp_loss, trace)

@@ -17,12 +17,10 @@ import sys
 import numpy as np
 
 from . import experiments, interference, verifier
-from .allocator import AllocationStatus
-from .channel import draw_realization
+from .allocator import AllocationStatus, allocate
 from .config import SystemConfig, config_as_dict, load_config, updated, validate
 from .errors import DomainError
 from .experiments import SweepKind, SweepSpec, run_sweep, run_trial
-from .link import sinr
 
 CONFIG_ENV = "OFDM_BITLOAD_CONFIG"
 
@@ -92,10 +90,6 @@ def _load_base_config(args) -> SystemConfig:
     return validate(updated(cfg, overrides))
 
 
-def _profile_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x9E37,)))
-
-
 def _cmd_sweep(args, cfg: SystemConfig) -> int:
     kind = args.kind
     if args.grid:
@@ -114,7 +108,7 @@ def _cmd_sweep(args, cfg: SystemConfig) -> int:
 
 
 def _cmd_allocate(args, cfg: SystemConfig) -> int:
-    profile = interference.calibrated_profile(cfg, rng=_profile_rng(args.seed))
+    profile = interference.calibrated_profile(cfg)
     result = run_trial(cfg, profile, trial_index=0, base_seed=args.seed)
     summary = {
         "status": result.status.value,
@@ -130,7 +124,7 @@ def _cmd_allocate(args, cfg: SystemConfig) -> int:
 
 
 def _cmd_profile_dump(args, cfg: SystemConfig) -> int:
-    analytic = interference.calibrated_profile(cfg, rng=_profile_rng(args.seed))
+    analytic = interference.calibrated_profile(cfg)
     mc = None
     if args.mc_symbols > 0:
         mc = interference.mc_variance(cfg, analytic.symbol_power, args.mc_symbols,
@@ -148,15 +142,12 @@ def _cmd_profile_dump(args, cfg: SystemConfig) -> int:
 
 
 def _cmd_verify(args, cfg: SystemConfig) -> int:
-    profile = interference.calibrated_profile(cfg, rng=_profile_rng(args.seed))
-    result = run_trial(cfg, profile, trial_index=0, base_seed=args.seed)
+    profile = interference.calibrated_profile(cfg)
+    gammas = experiments.trial_sinrs(cfg, profile, trial_index=0, base_seed=args.seed)
+    result = allocate(gammas, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
     if result.status is AllocationStatus.TRANSMISSION_STOPPED:
         print(json.dumps({"status": result.status.value, "throughput_bits": 0}))
         return 0
-    rng = experiments.trial_stream(args.seed, 0)
-    realization = draw_realization(cfg.channel, cfg.ofdm, rng)
-    gammas = sinr(realization.gains_sq, cfg.link.symbol_power,
-                  cfg.link.noise_variance, cfg.link.est_error_var, profile.variances)
     measured = verifier.measure_allocation_ber(
         gammas, result.loads, cfg.ofdm.cp_loss_factor, args.symbols,
         np.random.default_rng(args.seed + 1))

@@ -60,7 +60,6 @@ class NbConfig:
 class ChannelConfig:
     num_taps: int = 5
     decay_factor: float = 0.2
-    num_realizations: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,6 @@ class SystemConfig:
         return self.nb.normalized_freq * self.ofdm.bandwidth_hz
 
 
-def cp_loss_factor(ofdm: OfdmConfig) -> float:
-    return ofdm.cp_loss_factor
-
-
 def _check(cond: bool, name: str) -> None:
     if not cond:
         raise DomainError(f"invariant violated: {name}")
@@ -101,6 +96,9 @@ def _check(cond: bool, name: str) -> None:
 
 def validate(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant; raise DomainError naming the first violation."""
+    for key, (section, field, typ) in _KEY_MAP.items():
+        if typ is float:
+            _check(math.isfinite(getattr(getattr(cfg, section), field)), f"{key} finite")
     o, n, c, l = cfg.ofdm, cfg.nb, cfg.channel, cfg.link
     _check(o.bandwidth_hz > 0, "ofdm.bandwidth_hz > 0")
     _check(isinstance(o.num_subcarriers, int) and o.num_subcarriers >= 1,
@@ -118,10 +116,6 @@ def validate(cfg: SystemConfig) -> SystemConfig:
            "nb.pulse_span_symbols positive integer")
     _check(isinstance(c.num_taps, int) and c.num_taps >= 1, "channel.num_taps >= 1")
     _check(c.decay_factor > 0, "channel.decay_factor > 0")
-    _check(isinstance(c.num_realizations, int) and c.num_realizations >= 1,
-           "channel.num_realizations >= 1")
-    _check(math.isfinite(l.avg_snr_db), "link.avg_snr_db finite")
-    _check(math.isfinite(l.sir_db), "link.sir_db finite")
     _check(l.est_error_var >= 0, "link.est_error_var >= 0")
     _check(0.0 < l.target_ber < 0.5, "link.target_ber in (0, 0.5)")
     _check(l.symbol_power > 0, "link.symbol_power > 0")
@@ -141,7 +135,6 @@ _KEY_MAP = {
     "nb.pulse_span_symbols": ("nb", "pulse_span_symbols", int),
     "channel.num_taps": ("channel", "num_taps", int),
     "channel.decay_factor": ("channel", "decay_factor", float),
-    "channel.num_realizations": ("channel", "num_realizations", int),
     "link.avg_snr_db": ("link", "avg_snr_db", float),
     "link.sir_db": ("link", "sir_db", float),
     "link.est_error_var": ("link", "est_error_var", float),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -25,8 +26,7 @@ from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
 
-_CHUNK = 256          # fixed aggregation granularity, independent of workers
-_PROFILE_KEY = 0x9E37 # spawn-key branch reserved for profile delay draws
+_CHUNK = 256  # fixed aggregation granularity, independent of workers
 
 CSV_HEADER = "x,avg_throughput_bits,stderr_bits,stopped_fraction,trials,seed"
 
@@ -55,6 +55,8 @@ class SweepSpec:
     def validated(self) -> "SweepSpec":
         if len(self.grid) == 0:
             raise DomainError("sweep grid must be non-empty")
+        if not all(math.isfinite(x) for x in self.grid):
+            raise DomainError("sweep grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise DomainError("sweep grid must be strictly increasing")
         if self.trials < 1:
@@ -88,15 +90,21 @@ def point_seed(base_seed: int, kind: SweepKind, point_index: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
+def trial_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
+                trial_index: int, base_seed: int = 0) -> np.ndarray:
+    """Per-subcarrier SINRs of one trial: its own channel draw under ``profile``."""
+    rng = trial_stream(base_seed, trial_index)
+    realization = draw_realization(cfg.channel, cfg.ofdm, rng)
+    return sinr(realization.gains_sq, cfg.link.symbol_power,
+                cfg.link.noise_variance, cfg.link.est_error_var,
+                profile.variances)
+
+
 def run_trial(cfg: SystemConfig, profile: InterferenceProfile,
               trial_index: int, base_seed: int = 0) -> AllocationResult:
     """One channel draw, one SINR vector, one allocation."""
-    rng = trial_stream(base_seed, trial_index)
-    realization = draw_realization(cfg.channel, cfg.ofdm, rng)
-    gammas = sinr(realization.gains_sq, cfg.link.symbol_power,
-                  cfg.link.noise_variance, cfg.link.est_error_var,
-                  profile.variances)
-    return allocate(gammas, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
+    return allocate(trial_sinrs(cfg, profile, trial_index, base_seed),
+                    cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
 
 
 def _chunk_stats(cfg: SystemConfig, profile: InterferenceProfile,
@@ -133,29 +141,14 @@ def _aggregate(cfg, profile, trials, base_seed, workers) -> tuple[float, float, 
 
 
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[SweepRecord]:
-    """One SweepRecord per grid value.
-
-    The interference profile is recomputed (and the interferer power
-    recalibrated) per grid point for FN sweeps; SNR and estimation-error
-    sweeps reuse a single profile since neither parameter moves it.
-    """
+    """One SweepRecord per grid value, each under its own calibrated profile."""
     spec = spec.validated()
     cfg = validate(updated(cfg, spec.fixed))
     grid_key = _GRID_KEY[spec.kind]
-    shared_profile = None
-    if spec.kind is not SweepKind.FN:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=spec.base_seed, spawn_key=(_PROFILE_KEY,)))
-        shared_profile = calibrated_profile(cfg, rng=rng)
     records = []
     for i, x in enumerate(spec.grid):
         cfg_x = validate(updated(cfg, {grid_key: x}))
-        if shared_profile is None:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=spec.base_seed, spawn_key=(_PROFILE_KEY, i)))
-            profile = calibrated_profile(cfg_x, rng=rng)
-        else:
-            profile = shared_profile
+        profile = calibrated_profile(cfg_x)
         seed = point_seed(spec.base_seed, spec.kind, i)
         avg, stderr, stopped = _aggregate(cfg_x, profile, spec.trials, seed, workers)
         records.append(SweepRecord(x=float(x), avg_throughput_bits=avg,

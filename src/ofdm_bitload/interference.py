@@ -1,15 +1,26 @@
 """Narrowband interferer model and its per-subcarrier variance after the FFT.
 
-Two independent routes compute the same quantity:
+The interferer is ``x(t) = sum_l b_l p(t - l T - xi)``: i.i.d. QPSK symbols of
+power sigma_b2 shaped by a truncated root-raised-cosine pulse p, with a delay
+xi uniform on [0, T). The receiver samples it at ``n T_s``, where the carrier
+contributes the per-sample phase ``exp(j 2 pi F_n n)`` (``f_c * T_s`` reduces
+exactly to the normalized frequency F_n), and takes the 1/sqrt(N)-normalized
+N-point FFT. Two independent routes compute the variance of FFT bin k:
 
-* ``analytic_variance`` evaluates the expectation directly. For each block
-  offset r and delay xi it forms the pulse samples that land inside one
-  OFDM block, applies the per-sample carrier phase ``exp(j 2 pi F_n n)``
-  (``f_c * T_s`` reduces exactly to the normalized frequency F_n), and sums
-  ``|DFT|^2`` over the contributing interferer symbols.
+* ``analytic_variance`` evaluates it in closed form. A delay uniform over one
+  symbol period makes x wide-sense stationary with autocorrelation
+  ``(sigma_b2 / T) r_p(tau)``, where r_p is the pulse's autocorrelation
+  (Proakis, *Digital Communications*, PSD of linearly modulated signals).
+  The variance of bin k is then exactly
+
+      sigma2_I[k] = (sigma_b2 / T) sum_{|d|<N} (1 - |d|/N) r_p(d T_s)
+                    exp(j 2 pi (F_n - k/N) d).
+
+  The only integral left is r_p at the N lags d T_s (``_pulse_autocorrelation``).
+  Nothing is random, so the profile depends on the configuration alone.
 * ``mc_variance`` synthesizes the interferer time series with random QPSK
-  symbols and random delays, pushes it through the 1/sqrt(N)-normalized
-  receiver FFT, and averages ``|Z_k|^2``.
+  symbols and random delays, pushes it through the receiver FFT, and
+  averages ``|Z_k|^2``.
 
 Both are linear in the interferer symbol power, which ``calibrate_sigma_b2``
 exploits to hit a requested post-FFT signal-to-interference ratio.
@@ -84,40 +95,59 @@ class InterferenceProfile:
                    method="flat")
 
 
-def analytic_variance(cfg: SystemConfig, sigma_b2: float,
-                      num_ofdm_symbols: int = 64, num_delays: int = 32,
-                      rng: np.random.Generator | None = None) -> InterferenceProfile:
-    """Delay-marginalized per-subcarrier interference variance.
+# Pulse samples per OFDM sample in the sums for r_p. The edge-corrected sums
+# err by O(h^2) in the sample spacing h; at 8 the error stayed within about
+# 2e-6 of the profile peak over pulse spans of 2-11 symbols, roll-offs
+# 0.1-0.9 and interferer bandwidths 5-60 kHz (below 1e-12 at the defaults).
+_OVERSAMPLE = 8
 
-    The infinite block average is replaced by ``num_ofdm_symbols`` offsets and
-    the delay by an average over ``num_delays`` draws uniform in [0, T).
+
+def _pulse_autocorrelation(pulse: RrcPulse, lag_s: float, num_lags: int) -> np.ndarray:
+    """r_p(d * lag_s) = integral of p(t) p(t - d lag_s) dt for d < num_lags.
+
+    The pulse is sampled h = lag_s / _OVERSAMPLE apart, so every lag is a whole
+    number of samples and the integrals are sums of sample products. The
+    product jumps to zero at both ends of its support, where the truncated
+    pulse stops; a plain sum is therefore accurate to first order in h only.
+    The jumps are both ``p(S) p(S - tau)`` (S = span * T, p even) and sit at
+    the same fraction phi of a sample, so subtracting the first-order end
+    term ``h (1 - 2 phi) p(S) p(S - tau)`` (Euler-Maclaurin) leaves O(h^2).
     """
-    if num_ofdm_symbols < 1 or num_delays < 1:
-        raise DomainError("num_ofdm_symbols and num_delays must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    h = lag_s / _OVERSAMPLE
+    edge = pulse.span_symbols * pulse.symbol_period_s
+    m = int(np.floor(edge / h))
+    # p is even; mirroring the half t >= 0 halves eval's temporaries
+    half = pulse.eval(np.arange(m + 1) * h)
+    samples = np.concatenate([half[:0:-1], half])
+    lags = np.arange(num_lags) * _OVERSAMPLE
+    padded = np.concatenate([samples, np.zeros(lags[-1])])
+    r = h * np.array([samples @ padded[j:j + samples.size] for j in lags])
+    phi = edge / h - m
+    return r - h * (1.0 - 2.0 * phi) * pulse.eval(edge) * pulse.eval(edge - lags * h)
+
+
+def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile:
+    """Closed-form per-subcarrier interference variance (see module docstring)."""
     n_sc = cfg.ofdm.num_subcarriers
-    t_s = cfg.ofdm.sample_period_s
     pulse = RrcPulse.from_config(cfg.nb)
-    big_t = pulse.symbol_period_s
-    span = pulse.span_symbols
     f_n = cfg.nb.normalized_freq
-    n = np.arange(n_sc)
-    phase = np.exp(2j * np.pi * f_n * n)
-    delays = rng.uniform(0.0, big_t, num_delays)
-    acc = np.zeros(n_sc)
-    for xi in delays:
-        for r in range(num_ofdm_symbols):
-            t0 = r * n_sc * t_s - xi
-            l_lo = int(np.floor((t0 - span * big_t) / big_t)) - 1
-            l_hi = int(np.ceil((t0 + (n_sc - 1) * t_s + span * big_t) / big_t)) + 1
-            ls = np.arange(l_lo, l_hi + 1)
-            samples = pulse.eval(t0 + n[None, :] * t_s - ls[:, None] * big_t)
-            spectra = np.fft.fft(samples * phase[None, :], axis=1)
-            acc += (np.abs(spectra) ** 2).sum(axis=0)
-    acc *= sigma_b2 / (n_sc * num_ofdm_symbols * num_delays)
-    return InterferenceProfile(variances=acc, symbol_power=sigma_b2,
-                               normalized_freq=f_n, method="analytic")
+    r = _pulse_autocorrelation(pulse, cfg.ofdm.sample_period_s, n_sc)
+    d = np.arange(n_sc)
+    # the lags -d carry the complex conjugates of the lags +d, so the sum over
+    # |d| < N is twice the real part of an FFT over d >= 0, less the d = 0 term
+    c = (1.0 - d / n_sc) * r * np.exp(2j * np.pi * f_n * d)
+    acc = 2.0 * np.fft.fft(c).real - r[0]
+    return InterferenceProfile(variances=sigma_b2 / pulse.symbol_period_s * acc,
+                               symbol_power=sigma_b2, normalized_freq=f_n,
+                               method="analytic")
+
+
+# Blocks whose pulse lattice (blocks x interferer symbols x N samples) is
+# held at once. Only memory depends on it: every random value is drawn first.
+_SYNTH_BLOCKS = 256
+# Blocks per synthesize_nb_blocks call in mc_variance. Each call draws its own
+# delays and symbols, so this fixes how the rng stream maps to blocks.
+_MC_BLOCKS = 2000
 
 
 def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
@@ -142,20 +172,22 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     amp = np.sqrt(sigma_b2 / 2.0)
     symbols = amp * ((2 * rng.integers(0, 2, (num_blocks, ls.size)) - 1)
                      + 1j * (2 * rng.integers(0, 2, (num_blocks, ls.size)) - 1))
-    t = -xi[:, None, None] + n[None, None, :] * t_s - ls[None, :, None] * big_t
-    samples = pulse.eval(t)
-    return np.einsum("bl,bln->bn", symbols, samples) * phase[None, :]
+    out = np.empty((num_blocks, n_sc), dtype=complex)
+    for start in range(0, num_blocks, _SYNTH_BLOCKS):
+        part = slice(start, start + _SYNTH_BLOCKS)
+        t = -xi[part, None, None] + n[None, None, :] * t_s - ls[None, :, None] * big_t
+        out[part] = np.einsum("bl,bln->bn", symbols[part], pulse.eval(t)) * phase[None, :]
+    return out
 
 
 def mc_variance(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
-                rng: np.random.Generator, chunk: int = 2000) -> InterferenceProfile:
-    profile, _power = mc_variance_and_power(cfg, sigma_b2, num_symbols, rng, chunk)
+                rng: np.random.Generator) -> InterferenceProfile:
+    profile, _power = mc_variance_and_power(cfg, sigma_b2, num_symbols, rng)
     return profile
 
 
 def mc_variance_and_power(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
-                          rng: np.random.Generator,
-                          chunk: int = 2000) -> tuple[InterferenceProfile, float]:
+                          rng: np.random.Generator) -> tuple[InterferenceProfile, float]:
     """Monte Carlo profile plus the mean per-sample interferer power.
 
     The power is measured directly on the synthesized time samples, giving an
@@ -169,7 +201,7 @@ def mc_variance_and_power(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
     power = 0.0
     done = 0
     while done < num_symbols:
-        blocks = min(chunk, num_symbols - done)
+        blocks = min(_MC_BLOCKS, num_symbols - done)
         samples = synthesize_nb_blocks(cfg, sigma_b2, blocks, rng)
         spectra = np.fft.fft(samples, axis=1) / np.sqrt(n_sc)
         acc += (np.abs(spectra) ** 2).sum(axis=0)
@@ -181,17 +213,10 @@ def mc_variance_and_power(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
     return profile, power / (num_symbols * n_sc)
 
 
-def calibrate_sigma_b2(cfg: SystemConfig, sir_db: float,
-                       num_ofdm_symbols: int = 64, num_delays: int = 32,
-                       rng: np.random.Generator | None = None) -> float:
-    """Interferer symbol power achieving the requested post-FFT SIR.
-
-    SIR is the mean OFDM subcarrier power (symbol_power, since the channel is
-    gain-normalized) over the subcarrier-averaged interference variance.
-    """
+def _sigma_b2_for_sir(cfg: SystemConfig, unit: InterferenceProfile, sir_db: float) -> float:
+    """Symbol power that scales the unit-power profile ``unit`` to ``sir_db``."""
     if not np.isfinite(sir_db):
         raise DomainError("sir_db must be finite")
-    unit = analytic_variance(cfg, 1.0, num_ofdm_symbols, num_delays, rng)
     total = float(unit.variances.sum())
     if total == 0.0:
         raise DomainError("interferer is entirely out of band; SIR calibration impossible")
@@ -199,19 +224,19 @@ def calibrate_sigma_b2(cfg: SystemConfig, sir_db: float,
     return n_sc * cfg.link.symbol_power * 10.0 ** (-sir_db / 10.0) / total
 
 
-def calibrated_profile(cfg: SystemConfig, num_ofdm_symbols: int = 64,
-                       num_delays: int = 32,
-                       rng: np.random.Generator | None = None) -> InterferenceProfile:
+def calibrate_sigma_b2(cfg: SystemConfig, sir_db: float) -> float:
+    """Interferer symbol power achieving the requested post-FFT SIR.
+
+    SIR is the mean OFDM subcarrier power (symbol_power, since the channel is
+    gain-normalized) over the subcarrier-averaged interference variance.
+    """
+    return _sigma_b2_for_sir(cfg, analytic_variance(cfg, 1.0), sir_db)
+
+
+def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
     """Analytic profile scaled so the post-FFT SIR equals cfg.link.sir_db."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    unit = analytic_variance(cfg, 1.0, num_ofdm_symbols, num_delays, rng)
-    total = float(unit.variances.sum())
-    if total == 0.0:
-        raise DomainError("interferer is entirely out of band; SIR calibration impossible")
-    n_sc = cfg.ofdm.num_subcarriers
-    sigma_b2 = n_sc * cfg.link.symbol_power * 10.0 ** (-cfg.link.sir_db / 10.0) / total
-    return unit.scaled(sigma_b2)
+    unit = analytic_variance(cfg, 1.0)
+    return unit.scaled(_sigma_b2_for_sir(cfg, unit, cfg.link.sir_db))
 
 
 def dump_profile_csv(fh, analytic: InterferenceProfile,

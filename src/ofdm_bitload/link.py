@@ -16,7 +16,6 @@ The BER closed forms are per-bit expressions in the effective SNR
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -61,15 +60,6 @@ ACTIVE_LADDER = (Constellation.QAM64, Constellation.QAM16,
                  Constellation.QPSK, Constellation.BPSK)
 
 
-@dataclass(frozen=True)
-class SubcarrierLink:
-    index: int
-    gain_sq: float
-    sinr: float
-    constellation: Constellation = Constellation.QAM64
-    ber: float = float("nan")
-
-
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
     return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2) if np.ndim(x) else float(0.5 * erfc(x / _SQRT2))
@@ -77,12 +67,12 @@ def q_function(x):
 
 def sinr(gain_sq, symbol_power, noise_var, est_error_var, interference_var):
     """Signal power times channel gain over the summed impairment variances."""
-    if np.any(np.asarray(gain_sq) < 0) or symbol_power < 0:
+    if not (np.all(np.asarray(gain_sq) >= 0) and symbol_power >= 0):
         raise DomainError("gain_sq and symbol_power must be nonnegative")
     # est_error_var and interference_var are summed first so the two terms
     # are exactly interchangeable (same float result under a swap)
     denom = noise_var + (est_error_var + np.asarray(interference_var, dtype=float))
-    if np.any(denom <= 0):
+    if not np.all(denom > 0):
         raise DomainError("impairment variances must sum to a positive value")
     return symbol_power * gain_sq / denom
 
@@ -97,7 +87,7 @@ def ber(constellation: Constellation, sinr, cp_loss: float = 1.0):
     if not 0.0 < cp_loss <= 1.0:
         raise DomainError("cp_loss must lie in (0, 1]")
     g = np.asarray(sinr, dtype=float) * cp_loss
-    if np.any(g < 0):
+    if not np.all(g >= 0):
         raise DomainError("sinr must be nonnegative")
     if constellation in (Constellation.BPSK, Constellation.QPSK):
         out = q_function(np.sqrt(2.0 * g))

@@ -101,7 +101,7 @@ def test_criterion_01_channel_normalization():
 
 def test_criterion_02_interference_oracle_equivalence():
     start = time.monotonic()
-    analytic = analytic_variance(BASE, 1.0, rng=np.random.default_rng(0))
+    analytic = analytic_variance(BASE, 1.0)
     mc = mc_variance(BASE, 1.0, 100_000, np.random.default_rng(SEED))
     peak = int(np.argmax(analytic.variances))
     assert abs(peak - round(0.52 * 128)) <= 1

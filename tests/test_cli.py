@@ -81,6 +81,17 @@ class TestProfileDump:
         sidecar = json.loads((tmp_path / "prof.json").read_text())
         assert sidecar["sigma_b2"] > 0
 
+    def test_analytic_column_is_seed_free(self, capsys, tmp_path):
+        columns = []
+        for seed in ("1", "2"):
+            out_csv = tmp_path / f"prof{seed}.csv"
+            code, _, _ = run_cli(capsys, "--seed", seed, "--output", str(out_csv),
+                                 "profile-dump", "--mc-symbols", "20")
+            assert code == 0
+            rows = out_csv.read_text().strip().split("\n")[1:]
+            columns.append([row.split(",")[:2] for row in rows])
+        assert columns[0] == columns[1]
+
     def test_with_mc_column(self, capsys, tmp_path):
         out_csv = tmp_path / "prof.csv"
         code, _, _ = run_cli(capsys, "--output", str(out_csv),
@@ -127,6 +138,11 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "--config", str(path), "allocate")
         assert code == 3
         assert "target_ber" in err
+
+    def test_non_finite_flag_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "allocate", "--fn", "inf")
+        assert code == 3
+        assert "nb.normalized_freq finite" in err
 
     def test_missing_config_file_is_generic_error(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "allocate")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ofdm_bitload import (DomainError, NotSupportedError, OfdmConfig, SystemConfig,
-                          cp_loss_factor, dump_config, parse_config, updated, validate)
+                          dump_config, parse_config, updated, validate)
 
 
 class TestDerivedQuantities:
@@ -29,7 +29,7 @@ class TestCpLossFactor:
     @pytest.mark.parametrize("cp_fraction,expected", [(0.25, 0.8), (0.0, 1.0), (1.0, 0.5)])
     def test_known_values(self, cp_fraction, expected):
         ofdm = OfdmConfig(cp_fraction=cp_fraction, postfix_s=0.0)
-        assert cp_loss_factor(ofdm) == pytest.approx(expected)
+        assert ofdm.cp_loss_factor == pytest.approx(expected)
 
     def test_postfix_enters_denominator(self):
         ofdm = OfdmConfig(cp_fraction=0.0, postfix_s=102.4e-6)
@@ -62,6 +62,15 @@ class TestValidation:
     ])
     def test_invariant_violations(self, cfg, key, value):
         with pytest.raises(DomainError):
+            validate(updated(cfg, {key: value}))
+
+    @pytest.mark.parametrize("key", [
+        "ofdm.bandwidth_hz", "ofdm.postfix_s", "nb.bandwidth_hz", "nb.normalized_freq",
+        "channel.decay_factor", "link.est_error_var", "link.symbol_power",
+    ])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, cfg, key, value):
+        with pytest.raises(DomainError, match="finite"):
             validate(updated(cfg, {key: value}))
 
     def test_unknown_key_rejected(self, cfg):

@@ -88,6 +88,13 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(SweepKind.SNR, (0.0,), 0, 0).validated()
 
+    @pytest.mark.parametrize("grid", [(float("nan"), 1.0), (0.0, float("inf")),
+                                      (float("nan"),)])
+    def test_non_finite_grid(self, grid):
+        # "b <= a" is False for NaN, so the ordering check alone lets it through
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec(SweepKind.SNR, grid, 10, 0).validated()
+
 
 class TestRunSweep:
     def test_snr_sweep_shape_and_types(self, base_cfg):
@@ -114,6 +121,15 @@ class TestRunSweep:
                               fixed={"link.sir_db": -20.0})
         poor = run_sweep(spec_poor, base_cfg)[0]
         assert rich.avg_throughput_bits > poor.avg_throughput_bits
+
+    def test_snr_sweep_profile_is_the_calibrated_one(self, base_cfg, profile):
+        # the profile depends on the config alone, so a one-point sweep
+        # aggregates exactly the trials run_trial gives under calibrated_profile
+        spec = SweepSpec(SweepKind.SNR, (base_cfg.link.avg_snr_db,), 4, 5)
+        record = run_sweep(spec, base_cfg)[0]
+        bits = [run_trial(base_cfg, profile, t, record.seed).throughput_bits
+                for t in range(4)]
+        assert record.avg_throughput_bits == sum(bits) / 4
 
     def test_fn_sweep_recomputes_profile(self, base_cfg):
         # distinct interferer offsets must not produce identical averages

@@ -49,6 +49,11 @@ class TestSinr:
     def test_deep_fade(self):
         assert sinr(0.0, 1.0, 0.1, 0.0, 0.2) == 0.0
 
+    @pytest.mark.parametrize("gain,interference", [(np.nan, 0.1), (1.0, np.nan)])
+    def test_nan_rejected(self, gain, interference):
+        with pytest.raises(DomainError):
+            sinr(np.array([1.0, gain]), 1.0, 0.1, 0.0, np.array([0.1, interference]))
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(DomainError):
             sinr(1.0, 1.0, 0.0, 0.0, 0.0)
@@ -112,6 +117,12 @@ class TestBer:
         vec = ber(Constellation.QAM16, grid, 0.8)
         for g, v in zip(grid, vec):
             assert v == ber(Constellation.QAM16, float(g), 0.8)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            ber(Constellation.QPSK, np.array([1.0, np.nan]))
+        with pytest.raises(DomainError):
+            ber(Constellation.QAM64, float("nan"))
 
     def test_null_rejected(self):
         with pytest.raises(DomainError):
