@@ -36,18 +36,16 @@ def tap_variances(channel_cfg: ChannelConfig) -> np.ndarray:
 def draw_realization(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
                      rng: np.random.Generator) -> ChannelRealization:
     """One circularly-symmetric complex Gaussian tap draw and its DFT."""
-    var = tap_variances(channel_cfg)
-    std = np.sqrt(var / 2.0)
-    taps = std * (rng.standard_normal(channel_cfg.num_taps)
-                  + 1j * rng.standard_normal(channel_cfg.num_taps))
-    freq = np.fft.fft(taps, ofdm_cfg.num_subcarriers)
+    one = _draw_stacked(channel_cfg, ofdm_cfg, [rng])
+    return ChannelRealization(one.taps[0], one.freq_response[0], one.gains_sq[0])
+
+
+def _draw_stacked(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
+                  rngs) -> ChannelRealization:
+    """One draw per generator, one row each, with one DFT over all rows."""
+    n = channel_cfg.num_taps
+    std = np.sqrt(tap_variances(channel_cfg) / 2.0)
+    taps = std * np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                           for rng in rngs])
+    freq = np.fft.fft(taps, ofdm_cfg.num_subcarriers, axis=1)
     return ChannelRealization(taps=taps, freq_response=freq, gains_sq=np.abs(freq) ** 2)
-
-
-def dump_realization_csv(realization: ChannelRealization, fh) -> None:
-    fh.write("tap_index,re,im\n")
-    for i, h in enumerate(realization.taps):
-        fh.write(f"{i},{float(h.real)!r},{float(h.imag)!r}\n")
-    fh.write("k,gain_sq\n")
-    for k, g in enumerate(realization.gains_sq):
-        fh.write(f"{k},{float(g)!r}\n")

@@ -32,16 +32,26 @@ _SWEEP_DEFAULT_GRID = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def at_least(low: int):
+        def integer(text: str) -> int:
+            if int(text) < low:
+                raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+            return int(text)
+        return integer
+
+    def grid(text: str) -> tuple:
+        return tuple(float(v) for v in text.split(","))
+
     parser = argparse.ArgumentParser(
         prog="ofdm-bitload",
         description="Adaptive OFDM bit loading next to a narrowband interferer")
     parser.add_argument("--config", default=None,
                         help=f"flat key-value config file (default: ${CONFIG_ENV} "
                              "or built-in defaults)")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--trials", type=int, default=100,
+    parser.add_argument("--seed", type=at_least(0), default=0, help="base random seed")
+    parser.add_argument("--trials", type=at_least(1), default=100,
                         help="Monte Carlo trials per grid point (default 100)")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--workers", type=at_least(1), default=os.cpu_count() or 1,
                         help="parallel worker processes")
     parser.add_argument("--output", default=None, help="output CSV path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("sweep-sigma-h", SweepKind.SIGMA_H)):
         p = sub.add_parser(name, help=f"average-throughput sweep over {kind.value}")
         p.set_defaults(kind=kind)
-        p.add_argument("--grid", default=None,
+        p.add_argument("--grid", type=grid, default=None,
                        help="comma-separated grid values (default: built-in grid)")
         p.add_argument("--snr-db", type=float, default=None)
         p.add_argument("--sir-db", type=float, default=None)
@@ -65,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile-dump", help="per-subcarrier interference variance CSV")
     p.add_argument("--fn", type=float, default=None)
     p.add_argument("--sir-db", type=float, default=None)
-    p.add_argument("--mc-symbols", type=int, default=0,
+    p.add_argument("--mc-symbols", type=at_least(0), default=0,
                    help="also compute the Monte Carlo profile over this many symbols")
 
     p = sub.add_parser("verify", help="symbol-level re-measurement of one allocation")
@@ -73,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sir-db", type=float, default=None)
     p.add_argument("--fn", type=float, default=None)
     p.add_argument("--sigma-h2", type=float, default=None)
-    p.add_argument("--symbols", type=int, default=100_000,
+    p.add_argument("--symbols", type=at_least(1), default=100_000,
                    help="OFDM symbols to transmit per subcarrier")
     return parser
 
@@ -92,10 +102,7 @@ def _load_base_config(args) -> SystemConfig:
 
 def _cmd_sweep(args, cfg: SystemConfig) -> int:
     kind = args.kind
-    if args.grid:
-        grid = tuple(float(v) for v in args.grid.split(","))
-    else:
-        grid = _SWEEP_DEFAULT_GRID[kind]
+    grid = args.grid or _SWEEP_DEFAULT_GRID[kind]
     spec = SweepSpec(kind=kind, grid=grid, trials=args.trials, base_seed=args.seed)
     print(f"running {kind.value} sweep: {len(grid)} points x {args.trials} trials",
           file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import multiprocessing
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -19,14 +20,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .allocator import AllocationResult, AllocationStatus, allocate
-from .channel import draw_realization
+from .allocator import AllocationResult, _reduce, allocate
+from .channel import _draw_stacked
 from .config import SystemConfig, config_as_dict, updated, validate
 from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
 
 _CHUNK = 256  # fixed aggregation granularity, independent of workers
+_BLOCK = 16   # trials per array pass, which bounds the pass's working memory
 
 CSV_HEADER = "x,avg_throughput_bits,stderr_bits,stopped_fraction,trials,seed"
 
@@ -90,14 +92,19 @@ def point_seed(base_seed: int, kind: SweepKind, point_index: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
+def _block_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
+                 start: int, stop: int, base_seed: int) -> np.ndarray:
+    """SINRs of trials start..stop-1, one row each, each from its own channel draw."""
+    rngs = [trial_stream(base_seed, t) for t in range(start, stop)]
+    gains_sq = _draw_stacked(cfg.channel, cfg.ofdm, rngs).gains_sq
+    return sinr(gains_sq, cfg.link.symbol_power, cfg.link.noise_variance,
+                cfg.link.est_error_var, profile.variances)
+
+
 def trial_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
                 trial_index: int, base_seed: int = 0) -> np.ndarray:
     """Per-subcarrier SINRs of one trial: its own channel draw under ``profile``."""
-    rng = trial_stream(base_seed, trial_index)
-    realization = draw_realization(cfg.channel, cfg.ofdm, rng)
-    return sinr(realization.gains_sq, cfg.link.symbol_power,
-                cfg.link.noise_variance, cfg.link.est_error_var,
-                profile.variances)
+    return _block_sinrs(cfg, profile, trial_index, trial_index + 1, base_seed)[0]
 
 
 def run_trial(cfg: SystemConfig, profile: InterferenceProfile,
@@ -109,51 +116,48 @@ def run_trial(cfg: SystemConfig, profile: InterferenceProfile,
 
 def _chunk_stats(cfg: SystemConfig, profile: InterferenceProfile,
                  start: int, stop: int, base_seed: int) -> tuple[int, int, int]:
+    """Throughput sum, sum of squares and stopped count, _BLOCK trials per pass."""
     s = s2 = stopped = 0
-    for t in range(start, stop):
-        result = run_trial(cfg, profile, t, base_seed)
-        bits = result.throughput_bits
-        s += bits
-        s2 += bits * bits
-        stopped += result.status is AllocationStatus.TRANSMISSION_STOPPED
+    for a in range(start, stop, _BLOCK):
+        g = _block_sinrs(cfg, profile, a, min(a + _BLOCK, stop), base_seed)
+        _, _, _, den, steps = _reduce(g, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
+        # a met row carries bits; a stopped row ends with none
+        bits = np.take_along_axis(den, steps[:, None], axis=1)[:, 0].tolist()
+        s += sum(bits)
+        s2 += sum(b * b for b in bits)
+        stopped += bits.count(0)
     return s, s2, stopped
 
 
-def _pool_chunk(args):
-    return _chunk_stats(*args)
-
-
-def _aggregate(cfg, profile, trials, base_seed, workers) -> tuple[float, float, float]:
-    bounds = [(i, min(i + _CHUNK, trials)) for i in range(0, trials, _CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        tasks = [(cfg, profile, a, b, base_seed) for a, b in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_pool_chunk, tasks))
-    else:
-        stats = [_chunk_stats(cfg, profile, a, b, base_seed) for a, b in bounds]
-    s = sum(st[0] for st in stats)
-    s2 = sum(st[1] for st in stats)
-    stopped = sum(st[2] for st in stats)
-    avg = s / trials
-    var = (s2 - s * s / trials) / (trials - 1) if trials > 1 else 0.0
-    stderr = float(np.sqrt(max(var, 0.0) / trials))
-    return avg, stderr, stopped / trials
-
-
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[SweepRecord]:
-    """One SweepRecord per grid value, each under its own calibrated profile."""
+    """One SweepRecord per grid value, each under its own calibrated profile.
+
+    One pool serves every (point, chunk) task; each point sums its chunks in order.
+    """
     spec = spec.validated()
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     cfg = validate(updated(cfg, spec.fixed))
-    grid_key = _GRID_KEY[spec.kind]
-    records = []
-    for i, x in enumerate(spec.grid):
-        cfg_x = validate(updated(cfg, {grid_key: x}))
+    bounds = [(a, min(a + _CHUNK, spec.trials)) for a in range(0, spec.trials, _CHUNK)]
+    seeds = [point_seed(spec.base_seed, spec.kind, i) for i in range(len(spec.grid))]
+    tasks = []
+    for x, seed in zip(spec.grid, seeds):
+        cfg_x = validate(updated(cfg, {_GRID_KEY[spec.kind]: x}))
         profile = calibrated_profile(cfg_x)
-        seed = point_seed(spec.base_seed, spec.kind, i)
-        avg, stderr, stopped = _aggregate(cfg_x, profile, spec.trials, seed, workers)
-        records.append(SweepRecord(x=float(x), avg_throughput_bits=avg,
-                                   stderr_bits=stderr, stopped_fraction=stopped,
-                                   trials=spec.trials, seed=seed))
+        tasks += [(cfg_x, profile, a, b, seed) for a, b in bounds]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            stats = list(pool.map(_chunk_stats, *zip(*tasks)))
+    else:
+        stats = [_chunk_stats(*task) for task in tasks]
+    records, n = [], spec.trials
+    for i, (x, seed) in enumerate(zip(spec.grid, seeds)):
+        s, s2, stopped = (sum(c) for c in zip(*stats[i * len(bounds):(i + 1) * len(bounds)]))
+        var = (s2 - s * s / n) / (n - 1) if n > 1 else 0.0
+        records.append(SweepRecord(x=float(x), avg_throughput_bits=s / n,
+                                   stderr_bits=float(np.sqrt(max(var, 0.0) / n)),
+                                   stopped_fraction=stopped / n, trials=n, seed=seed))
     return records
 
 

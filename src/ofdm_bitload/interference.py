@@ -217,9 +217,8 @@ def _sigma_b2_for_sir(cfg: SystemConfig, unit: InterferenceProfile, sir_db: floa
     """Symbol power that scales the unit-power profile ``unit`` to ``sir_db``."""
     if not np.isfinite(sir_db):
         raise DomainError("sir_db must be finite")
+    # > 0 always: by Parseval the unit profile sums to N r_p(0) / T
     total = float(unit.variances.sum())
-    if total == 0.0:
-        raise DomainError("interferer is entirely out of band; SIR calibration impossible")
     n_sc = cfg.ofdm.num_subcarriers
     return n_sc * cfg.link.symbol_power * 10.0 ** (-sir_db / 10.0) / total
 

@@ -191,10 +191,3 @@ def gaussian_premise_report(cfg: SystemConfig, realization: ChannelRealization,
     synthesized = total_errors / total_bits
     return {"gaussian_mean_ber": gaussian, "synthesized_mean_ber": synthesized,
             "abs_difference": abs(gaussian - synthesized)}
-
-
-def dump_report_csv(fh, reports: list[EmpiricalBer]) -> None:
-    fh.write("k,constellation,predicted_ber,measured_ber,bits_sent\n")
-    for r in reports:
-        fh.write(f"{r.subcarrier},{r.constellation.name},{float(r.predicted_ber)!r},"
-                 f"{float(r.measured_ber)!r},{r.bits_sent}\n")

@@ -1,11 +1,13 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ofdm_bitload import (AllocationStatus, Constellation, DomainError, allocate,
                           ber, mean_ber)
+from ofdm_bitload.link import ACTIVE_LADDER
 
 LADDER_DOWN = {Constellation.QAM64: Constellation.QAM16,
                Constellation.QAM16: Constellation.QPSK,
@@ -59,6 +61,50 @@ def oracle_allocate_tables(tables, target):
         victim = -max(active)[1]
         loads[victim] = LADDER_DOWN[loads[victim]]
         victims.append(victim)
+
+
+def heap_allocate(gammas, target, cp_loss):
+    """The step-by-step loop that the sorted merge replaced, as its reference.
+
+    A max-heap over (BER, index) picks the worst active subcarrier each
+    iteration, and the weighted numerator and denominator are updated in
+    place, in the float order the merge's prefix sums must reproduce.
+    Returns (loads, per_ber, mean_ber, throughput, status, iterations, trace).
+    """
+    g = np.asarray(gammas, dtype=float)
+    n_sc = g.size
+    table = {int(c): np.atleast_1d(ber(c, g, cp_loss)).tolist() for c in ACTIVE_LADDER}
+    bits = [6] * n_sc
+    cur = table[6][:]
+    num = float(np.dot(cur, np.full(n_sc, 6.0)))
+    den = 6 * n_sc
+    heap = [(-b, k) for k, b in enumerate(cur)]
+    heapq.heapify(heap)
+    trace = []
+    iterations = 0
+    while True:
+        if den > 0 and num <= target * den:
+            per = np.where([m > 0 for m in bits], cur, np.nan)
+            return ([Constellation(m) for m in bits], per, num / den, den,
+                    AllocationStatus.MET, iterations, trace)
+        if den == 0:
+            return ([Constellation.NULL] * n_sc, np.full(n_sc, np.nan), float("nan"), 0,
+                    AllocationStatus.TRANSMISSION_STOPPED, iterations, trace)
+        _, k = heapq.heappop(heap)
+        m = bits[k]
+        m_new = int(Constellation(m).reduce())
+        num -= m * cur[k]
+        den -= m
+        if m_new:
+            b_new = table[m_new][k]
+            num += m_new * b_new
+            den += m_new
+            cur[k] = b_new
+            heapq.heappush(heap, (-b_new, k))
+        bits[k] = m_new
+        iterations += 1
+        trace.append((iterations, k, Constellation(m_new),
+                      num / den if den else float("nan")))
 
 
 class TestKnownInstances:
@@ -209,13 +255,49 @@ class TestProperties:
             == oracle_allocate_tables(scaled, factor * 1e-4)
 
 
+@st.composite
+def merge_instances(draw):
+    """SINRs that stress the merge: shared values across subcarriers (ties),
+    values low enough that the BER ladder rises as it steps down, all zeros."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["wide", "low", "ties", "zeros"]))
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "ties":
+        pool = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    high = 3.0 if kind == "low" else 1e5
+    return np.array(draw(st.lists(st.floats(0.0, high), min_size=n, max_size=n)))
+
+
+class TestMatchesHeapReference:
+    # at SINR 0 each step down raises the BER (64-QAM 0.16, 16-QAM 0.23,
+    # QPSK 0.5): the case the running-minimum key exists for
+    @example(gammas=np.array([0.0, 0.5, 0.0, 2.0]), target=1e-1)
+    @settings(max_examples=300, deadline=None)
+    @given(gammas=merge_instances(), target=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]))
+    def test_equal_to_heap_loop(self, gammas, target):
+        trace = []
+        result = allocate(gammas, target, 0.8, trace=trace)
+        loads, per, mean, throughput, status, iterations, ref_trace = \
+            heap_allocate(gammas, target, 0.8)
+        assert result.loads == loads
+        np.testing.assert_array_equal(result.per_ber, per)  # NaN where nulled
+        assert result.mean_ber == mean or (np.isnan(result.mean_ber) and np.isnan(mean))
+        assert result.throughput_bits == throughput
+        assert result.status is status
+        assert result.iterations == iterations
+        assert [t[:3] for t in trace] == [t[:3] for t in ref_trace]
+        np.testing.assert_array_equal([t[3] for t in trace], [t[3] for t in ref_trace])
+
+
 def test_empty_input_rejected():
     with pytest.raises(DomainError):
         allocate(np.array([]), 1e-4, 0.8)
 
 
 def test_nan_sinr_rejected():
-    # a NaN BER never matches the heap's lazy-invalidation check, so without
-    # the check in ber() the heap drains and pop raises IndexError
+    # without the check in ber(), a NaN BER would sort and sum into a row
+    # that never meets the target and silently reports a stop
     with pytest.raises(DomainError):
         allocate(np.array([1.0, np.nan]), 1e-4, 0.8)

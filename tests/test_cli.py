@@ -164,6 +164,23 @@ class TestUsage:
         assert code == 0
         assert "sweep-fn" in out
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--seed", ["--seed", "-1", "allocate"]),
+        ("--trials", ["--trials", "0", "sweep-snr", "--grid", "20"]),
+        ("--workers", ["--workers", "0", "--trials", "2", "sweep-snr", "--grid", "20"]),
+        ("--symbols", ["verify", "--symbols", "-3", "--sir-db", "30"]),
+        ("--mc-symbols", ["profile-dump", "--mc-symbols", "-5"]),
+        ("--grid", ["--trials", "2", "sweep-fn", "--grid", "0.5,abc"]),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, capsys, tmp_path, flag, argv):
+        if flag != "--workers":
+            argv = ["--workers", "1"] + argv
+        code, out, err = run_cli(capsys, "--output", str(tmp_path / "out.csv"), *argv)
+        assert code == 2
+        assert f"argument {flag}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 def _distribution_missing(name: str) -> bool:
     try:

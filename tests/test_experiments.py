@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofdm_bitload import (AllocationStatus, DomainError, InterferenceProfile,
                           SweepKind, SweepSpec, SystemConfig, calibrated_profile,
-                          run_sweep, run_trial, validate)
-from ofdm_bitload.experiments import (CSV_HEADER, point_seed, sweep_csv,
+                          run_sweep, run_trial, updated, validate)
+from ofdm_bitload.experiments import (CSV_HEADER, _chunk_stats, point_seed, sweep_csv,
                                       trial_stream, write_sweep_csv,
                                       write_sweep_json)
 
@@ -70,6 +71,30 @@ class TestRunTrial:
             with_nb = run_trial(base_cfg, profile, t, base_seed=3)
             without = run_trial(base_cfg, clean, t, base_seed=3)
             assert without.throughput_bits >= with_nb.throughput_bits
+
+
+# a point where most trials stop transmission, and one where ~20 steps suffice
+CHUNK_POINTS = {
+    "stopped-heavy": {"link.sir_db": -20.0, "link.est_error_var": 1.0},
+    "light": {"link.sir_db": 20.0, "link.avg_snr_db": 45.0},
+}
+
+
+class TestChunkStats:
+    @pytest.mark.parametrize("point", sorted(CHUNK_POINTS))
+    @settings(max_examples=12, deadline=None)
+    @given(start=st.integers(0, 600), length=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_sums_over_run_trial(self, point, start, length, seed):
+        # the batched chunk (blocks of rows, one sort and prefix scan each)
+        # against one run_trial per trial
+        cfg = validate(updated(SystemConfig(), CHUNK_POINTS[point]))
+        profile = calibrated_profile(cfg)
+        results = [run_trial(cfg, profile, t, seed) for t in range(start, start + length)]
+        bits = [r.throughput_bits for r in results]
+        stopped = sum(r.status is AllocationStatus.TRANSMISSION_STOPPED for r in results)
+        assert _chunk_stats(cfg, profile, start, start + length, seed) \
+            == (sum(bits), sum(b * b for b in bits), stopped)
 
 
 class TestSweepSpec:
@@ -137,6 +162,12 @@ class TestRunSweep:
                          fixed={"link.sir_db": -20.0})
         a, b = run_sweep(spec, base_cfg)
         assert a.avg_throughput_bits != b.avg_throughput_bits
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, base_cfg, workers):
+        spec = SweepSpec(SweepKind.SNR, (20.0,), 5, 0)
+        with pytest.raises(DomainError, match="workers"):
+            run_sweep(spec, base_cfg, workers=workers)
 
     def test_bad_fixed_key_rejected(self, base_cfg):
         spec = SweepSpec(SweepKind.SNR, (20.0,), 5, 0, fixed={"nope.nope": 1.0})

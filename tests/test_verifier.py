@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,7 @@ from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
                           calibrated_profile, draw_realization, measure_ber,
                           validate, verify_allocation)
 from ofdm_bitload.experiments import run_trial, trial_stream
-from ofdm_bitload.verifier import (dump_report_csv, gaussian_premise_report,
-                                   measure_allocation_ber)
+from ofdm_bitload.verifier import gaussian_premise_report, measure_allocation_ber
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +125,3 @@ class TestGaussianPremise:
         # the lumped-Gaussian premise should land within an order of magnitude
         assert report["synthesized_mean_ber"] < 10 * cfg.link.target_ber
 
-
-def test_dump_report_csv():
-    report = measure_ber(Constellation.QPSK, 1.0, 1.0, 5000,
-                         np.random.default_rng(0))
-    buf = io.StringIO()
-    dump_report_csv(buf, [report])
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "k,constellation,predicted_ber,measured_ber,bits_sent"
-    k, name, pred, meas, bits = lines[1].split(",")
-    assert name == "QPSK"
-    assert float(pred) == report.predicted_ber
-    assert int(bits) == report.bits_sent
