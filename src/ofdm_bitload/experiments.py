@@ -132,7 +132,7 @@ def _chunk_stats(cfg: SystemConfig, profile: InterferenceProfile,
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[SweepRecord]:
     """One SweepRecord per grid value, each under its own calibrated profile.
 
-    One pool serves every (point, chunk) task; each point sums its chunks in order.
+    With ``workers`` > 1 and several chunks per point, one pool runs them all.
     """
     spec = spec.validated()
     if workers < 1:
@@ -145,7 +145,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
         cfg_x = validate(updated(cfg, {_GRID_KEY[spec.kind]: x}))
         profile = calibrated_profile(cfg_x)
         tasks += [(cfg_x, profile, a, b, seed) for a, b in bounds]
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(bounds) > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             stats = list(pool.map(_chunk_stats, *zip(*tasks)))
