@@ -11,7 +11,7 @@ from .allocator import AllocationResult, AllocationStatus, allocate, mean_ber
 from .channel import ChannelRealization, draw_realization, pdp_constant
 from .config import (ChannelConfig, LinkConfig, NbConfig, OfdmConfig, SystemConfig,
                      dump_config, load_config, parse_config, updated, validate)
-from .errors import DomainError, NotSupportedError
+from .errors import DomainError
 from .experiments import (SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial,
                           write_sweep_csv, write_sweep_json)
 from .interference import (InterferenceProfile, RrcPulse, analytic_variance,
@@ -19,6 +19,6 @@ from .interference import (InterferenceProfile, RrcPulse, analytic_variance,
                            mc_variance_and_power, synthesize_nb_blocks)
 from .link import Constellation, ber, q_function, sinr
 from .verifier import (EmpiricalBer, gaussian_premise_report, measure_allocation_ber,
-                       measure_ber, verify_allocation)
+                       measure_ber)
 
 __version__ = "0.1.0"

@@ -13,14 +13,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotSupportedError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class OfdmConfig:
     bandwidth_hz: float = 1.25e6
     num_subcarriers: int = 128
-    window_rolloff: float = 0.0
     cp_fraction: float = 0.25
     postfix_s: float = 0.0
 
@@ -94,6 +93,14 @@ def _check(cond: bool, name: str) -> None:
         raise DomainError(f"invariant violated: {name}")
 
 
+def _power_finite(symbol_power: float, db: float) -> bool:
+    """Whether symbol_power * 10^(-db/10), a power db below the signal, is finite."""
+    try:
+        return math.isfinite(symbol_power * 10.0 ** (-db / 10.0))
+    except OverflowError:
+        return False
+
+
 def validate(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant; raise DomainError naming the first violation."""
     for key, (section, field, typ) in _KEY_MAP.items():
@@ -103,9 +110,6 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     _check(o.bandwidth_hz > 0, "ofdm.bandwidth_hz > 0")
     _check(isinstance(o.num_subcarriers, int) and o.num_subcarriers >= 1,
            "ofdm.num_subcarriers positive integer")
-    _check(0.0 <= o.window_rolloff <= 1.0, "ofdm.window_rolloff in [0, 1]")
-    if o.window_rolloff != 0.0:
-        raise NotSupportedError("transmit windowing (ofdm.window_rolloff != 0) is not modeled")
     _check(o.cp_fraction >= 0, "ofdm.cp_fraction >= 0")
     _check(o.postfix_s >= 0, "ofdm.postfix_s >= 0")
     _check(0.0 < o.cp_loss_factor <= 1.0, "cp loss factor in (0, 1]")
@@ -119,6 +123,8 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     _check(l.est_error_var >= 0, "link.est_error_var >= 0")
     _check(0.0 < l.target_ber < 0.5, "link.target_ber in (0, 0.5)")
     _check(l.symbol_power > 0, "link.symbol_power > 0")
+    _check(_power_finite(l.symbol_power, l.avg_snr_db), "link.avg_snr_db: noise power finite")
+    _check(_power_finite(l.symbol_power, l.sir_db), "link.sir_db: interference power finite")
     return cfg
 
 
@@ -126,7 +132,6 @@ def validate(cfg: SystemConfig) -> SystemConfig:
 _KEY_MAP = {
     "ofdm.bandwidth_hz": ("ofdm", "bandwidth_hz", float),
     "ofdm.num_subcarriers": ("ofdm", "num_subcarriers", int),
-    "ofdm.window_rolloff": ("ofdm", "window_rolloff", float),
     "ofdm.cp_fraction": ("ofdm", "cp_fraction", float),
     "ofdm.postfix_s": ("ofdm", "postfix_s", float),
     "nb.bandwidth_hz": ("nb", "bandwidth_hz", float),
@@ -150,7 +155,14 @@ def updated(cfg: SystemConfig, overrides: dict) -> SystemConfig:
         if key not in _KEY_MAP:
             raise DomainError(f"unknown config key: {key}")
         section, field, typ = _KEY_MAP[key]
-        groups.setdefault(section, {})[field] = typ(value)
+        try:
+            converted = typ(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"config key {key}: cannot read {value!r} as {typ.__name__}") \
+                from None
+        if typ is int and not isinstance(value, str) and converted != value:
+            raise DomainError(f"config key {key}: {value!r} is not an integer")
+        groups.setdefault(section, {})[field] = converted
     out = cfg
     for section, fields in groups.items():
         out = dataclasses.replace(out, **{section: dataclasses.replace(getattr(out, section), **fields)})

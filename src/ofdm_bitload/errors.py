@@ -3,7 +3,3 @@
 
 class DomainError(ValueError):
     """A parameter or precondition violates its documented domain."""
-
-
-class NotSupportedError(DomainError):
-    """A parameter value is valid in principle but not modeled here."""

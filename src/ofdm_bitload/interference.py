@@ -80,19 +80,11 @@ class RrcPulse:
 class InterferenceProfile:
     variances: np.ndarray
     symbol_power: float
-    normalized_freq: float
-    method: str  # "analytic" | "montecarlo" | "flat"
 
     def scaled(self, factor: float) -> "InterferenceProfile":
         """Exact rescaling by linearity in the interferer symbol power."""
         return replace(self, variances=self.variances * factor,
                        symbol_power=self.symbol_power * factor)
-
-    @classmethod
-    def flat(cls, num_subcarriers: int, variance: float) -> "InterferenceProfile":
-        return cls(variances=np.full(num_subcarriers, float(variance)),
-                   symbol_power=float("nan"), normalized_freq=float("nan"),
-                   method="flat")
 
 
 # Pulse samples per OFDM sample in the sums for r_p. The edge-corrected sums
@@ -138,8 +130,7 @@ def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile
     c = (1.0 - d / n_sc) * r * np.exp(2j * np.pi * f_n * d)
     acc = 2.0 * np.fft.fft(c).real - r[0]
     return InterferenceProfile(variances=sigma_b2 / pulse.symbol_period_s * acc,
-                               symbol_power=sigma_b2, normalized_freq=f_n,
-                               method="analytic")
+                               symbol_power=sigma_b2)
 
 
 # Blocks whose pulse lattice (blocks x interferer symbols x N samples) is
@@ -207,9 +198,7 @@ def mc_variance_and_power(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
         acc += (np.abs(spectra) ** 2).sum(axis=0)
         power += float((np.abs(samples) ** 2).sum())
         done += blocks
-    profile = InterferenceProfile(variances=acc / num_symbols, symbol_power=sigma_b2,
-                                  normalized_freq=cfg.nb.normalized_freq,
-                                  method="montecarlo")
+    profile = InterferenceProfile(variances=acc / num_symbols, symbol_power=sigma_b2)
     return profile, power / (num_symbols * n_sc)
 
 

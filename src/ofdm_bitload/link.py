@@ -42,19 +42,6 @@ class Constellation(enum.IntEnum):
     def size(self) -> int:
         return 2 ** int(self.value)
 
-    def reduce(self) -> "Constellation":
-        """Step down exactly one level on the 64-16-QPSK-BPSK-NULL ladder."""
-        if self is Constellation.NULL:
-            raise DomainError("cannot reduce a nulled subcarrier")
-        return _LADDER[self]
-
-
-_LADDER = {
-    Constellation.QAM64: Constellation.QAM16,
-    Constellation.QAM16: Constellation.QPSK,
-    Constellation.QPSK: Constellation.BPSK,
-    Constellation.BPSK: Constellation.NULL,
-}
 
 ACTIVE_LADDER = (Constellation.QAM64, Constellation.QAM16,
                  Constellation.QPSK, Constellation.BPSK)

@@ -1,19 +1,25 @@
 """Symbol-level transmission oracle validating the closed-form BER curves.
 
-Gray-mapped symbols are sent through a lumped complex-Gaussian impairment at
-effective SNR ``cp_loss * sinr`` and hard-decision demapped.
+Every constellation is sent as one or two independent Gray-coded PAM axes.
+``_pam_errors`` is the one link: it places the drawn symbols on their axis,
+adds the given noise samples, hard-decides to the nearest level and counts
+the bit errors. ``_geometry`` is the one geometry rule; at symbol power P it
+gives (levels per axis, amplitude step, axes):
 
-SNR conventions per constellation, chosen so the closed forms being checked
-are the textbook expressions for the simulated channel:
+* BPSK: (2, sqrt(P), 1), the real axis only; exact BER Q(sqrt(2 g)).
+* QPSK: (2, sqrt(P), 2), two independent binary branches (I and Q) of power
+  P each, so the single B/QPSK expression Q(sqrt(2 g)) applies per branch
+  with g the branch SNR.
+* 16/64-QAM: (sqrt(M), sqrt(3 P / (2 (M - 1))), 2), average symbol energy P.
+  The closed form is the exact symbol error rate divided by bits per symbol,
+  a lower bound on the Gray BER measured here. With cp_loss 0.8 the exact
+  Gray BER exceeds it by 27% (16-QAM) and 96% (64-QAM) at SINR 5 dB, 8% and
+  44% at 10 dB, 0.9% and 14% at 15 dB, and 0.002% and 2.3% at 20 dB.
 
-* BPSK: unit symbol energy; exact BER Q(sqrt(2 g)).
-* QPSK: two independent unit-energy binary branches (I and Q), so the single
-  B/QPSK expression Q(sqrt(2 g)) applies per branch with g the branch SNR.
-* 16/64-QAM: unit average symbol energy, Es/N0 = g; the closed form is the
-  exact symbol error rate divided by bits per symbol, a lower bound on the
-  Gray BER measured here. With cp_loss 0.8 the exact Gray BER exceeds it by
-  27% (16-QAM) and 96% (64-QAM) at SINR 5 dB, 8% and 44% at 10 dB, 0.9% and
-  14% at 15 dB, and 0.002% and 2.3% at 20 dB.
+``measure_ber`` and ``measure_allocation_ber`` send unit-power symbols
+through complex Gaussian noise of power ``1 / (cp_loss * sinr)``.
+``gaussian_premise_report`` sends them at the configured symbol power through
+the zero-forced impairment of a synthesized interferer plus AWGN.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import link
 from .allocator import AllocationResult, AllocationStatus
 from .channel import ChannelRealization
 from .config import SystemConfig
@@ -39,51 +46,41 @@ class EmpiricalBer:
     bit_errors: int
     measured_ber: float
     predicted_ber: float
-    subcarrier: int = -1
 
 
-def _gray_codes(bits_per_axis: int) -> np.ndarray:
-    idx = np.arange(2 ** bits_per_axis)
-    return idx ^ (idx >> 1)
+def _geometry(constellation: Constellation, symbol_power: float) -> tuple[int, float, int]:
+    """(levels per axis, amplitude step, axes) of a constellation at symbol_power."""
+    if constellation in (Constellation.BPSK, Constellation.QPSK):
+        return 2, np.sqrt(symbol_power), 1 if constellation is Constellation.BPSK else 2
+    size = constellation.size
+    # average symbol energy: 2 * mean(level^2) * step^2 = symbol_power
+    return int(np.sqrt(size)), np.sqrt(3.0 * symbol_power / (2.0 * (size - 1))), 2
 
 
-def _popcount(values: np.ndarray) -> int:
-    return int(np.unpackbits(values.astype(np.uint8)).sum())
-
-
-def _axis_errors(levels: int, scale: float, noise_std: float, n: int,
-                 rng: np.random.Generator) -> int:
-    """Bit errors for one Gray-coded PAM axis with n symbols."""
-    codes = _gray_codes(int(np.log2(levels)))
-    tx = rng.integers(0, levels, n)
-    amplitude = (2 * tx - (levels - 1)) * scale
-    rx = amplitude + noise_std * rng.standard_normal(n)
-    hard = np.clip(np.round((rx / scale + (levels - 1)) / 2.0), 0, levels - 1).astype(int)
-    return _popcount(codes[tx] ^ codes[hard])
+def _pam_errors(levels: int, step: float, tx: np.ndarray, noise: np.ndarray) -> int:
+    """Bit errors of Gray-coded PAM symbols tx (level indices) sent through noise."""
+    idx = np.arange(levels)
+    codes = idx ^ (idx >> 1)
+    rx = (2 * tx - (levels - 1)) * step + noise
+    hard = np.clip(np.round((rx / step + (levels - 1)) / 2.0), 0, levels - 1).astype(int)
+    return int(np.unpackbits((codes[tx] ^ codes[hard]).astype(np.uint8)).sum())
 
 
 def _count_bit_errors(constellation: Constellation, geff: float, num_symbols: int,
                       rng: np.random.Generator) -> int:
-    """Bit errors over num_symbols symbols at effective symbol SNR geff."""
+    """Bit errors over num_symbols unit-power symbols at effective SNR geff."""
+    if not geff > 0:
+        raise DomainError(f"effective SNR must be positive to send symbols, got {geff!r}")
+    levels, step, axes = _geometry(constellation, 1.0)
+    # complex noise power 1/geff, half of it on each axis
+    std = np.sqrt(1.0 / (2.0 * geff))
     errors = 0
     done = 0
     while done < num_symbols:
         n = min(_MAX_CHUNK, num_symbols - done)
-        if constellation is Constellation.BPSK:
-            # unit symbol energy on the real axis, complex noise power 1/geff
-            errors += _axis_errors(2, 1.0, np.sqrt(1.0 / (2.0 * geff)), n, rng)
-        elif constellation is Constellation.QPSK:
-            # two unit-energy branches, each at branch SNR geff
-            std = np.sqrt(1.0 / (2.0 * geff))
-            errors += _axis_errors(2, 1.0, std, n, rng)
-            errors += _axis_errors(2, 1.0, std, n, rng)
-        else:
-            levels = int(np.sqrt(constellation.size))
-            # unit average symbol energy: 2 * mean(level^2) * scale^2 = 1
-            scale = np.sqrt(3.0 / (2.0 * (constellation.size - 1)))
-            std = np.sqrt(1.0 / (2.0 * geff))
-            errors += _axis_errors(levels, scale, std, n, rng)
-            errors += _axis_errors(levels, scale, std, n, rng)
+        for _ in range(axes):
+            tx = rng.integers(0, levels, n)
+            errors += _pam_errors(levels, step, tx, std * rng.standard_normal(n))
         done += n
     return errors
 
@@ -111,6 +108,8 @@ def measure_ber(constellation: Constellation, sinr: float, cp_loss: float,
 def measure_allocation_ber(sinrs, loads, cp_loss: float, num_ofdm_symbols: int,
                            rng: np.random.Generator) -> float:
     """Bit-weighted empirical mean BER of a fixed allocation over AWGN trials."""
+    if num_ofdm_symbols < 1:
+        raise DomainError(f"num_ofdm_symbols must be >= 1, got {num_ofdm_symbols}")
     total_bits = 0
     total_errors = 0
     for g, load in zip(np.asarray(sinrs, dtype=float), loads):
@@ -123,36 +122,24 @@ def measure_allocation_ber(sinrs, loads, cp_loss: float, num_ofdm_symbols: int,
     return total_errors / total_bits
 
 
-def verify_allocation(cfg: SystemConfig, realization: ChannelRealization,
-                      result: AllocationResult, num_ofdm_symbols: int,
-                      rng: np.random.Generator,
-                      profile: InterferenceProfile | None = None) -> float:
-    """Re-measure the allocation's mean BER with lumped Gaussian impairments."""
-    if result.status is not AllocationStatus.MET:
-        raise DomainError("can only verify an allocation that met its target")
-    variances = profile.variances if profile is not None else 0.0
-    denom = cfg.link.noise_variance + cfg.link.est_error_var + variances
-    gammas = cfg.link.symbol_power * realization.gains_sq / denom
-    return measure_allocation_ber(gammas, result.loads, cfg.ofdm.cp_loss_factor,
-                                  num_ofdm_symbols, rng)
-
-
 def gaussian_premise_report(cfg: SystemConfig, realization: ChannelRealization,
                             result: AllocationResult, profile: InterferenceProfile,
                             num_ofdm_symbols: int,
                             rng: np.random.Generator) -> dict:
     """Mean BER with lumped Gaussian interference vs. synthesized interferer.
 
-    The second route replaces the Gaussian interference term with the actual
-    narrowband time-domain signal pushed through the receiver FFT. The gap is
-    reported, not asserted: Gaussianity of the post-FFT interference is a
-    modeling premise, not a theorem.
+    The first route re-measures the allocation at the SINRs ``link.sinr``
+    gives the allocator. The second replaces the Gaussian interference term
+    with the actual narrowband time-domain signal pushed through the receiver
+    FFT. The gap is reported, not asserted: Gaussianity of the post-FFT
+    interference is a modeling premise, not a theorem.
     """
     if result.status is not AllocationStatus.MET:
         raise DomainError("can only verify an allocation that met its target")
     cp = cfg.ofdm.cp_loss_factor
-    gaussian = verify_allocation(cfg, realization, result, num_ofdm_symbols,
-                                 rng, profile)
+    gammas = link.sinr(realization.gains_sq, cfg.link.symbol_power, cfg.link.noise_variance,
+                       cfg.link.est_error_var, profile.variances)
+    gaussian = measure_allocation_ber(gammas, result.loads, cp, num_ofdm_symbols, rng)
 
     n_sc = cfg.ofdm.num_subcarriers
     # AWGN part only; interference enters as synthesized FFT-output samples.
@@ -172,21 +159,11 @@ def gaussian_premise_report(cfg: SystemConfig, realization: ChannelRealization,
                                               + 1j * rng.standard_normal(blocks))
             # zero-forced impairment seen on the symbol, interference included verbatim
             impairment = (awgn + nb[:, k] / np.sqrt(cp)) / h
-            if load in (Constellation.BPSK, Constellation.QPSK):
-                levels, scale = 2, np.sqrt(cfg.link.symbol_power)
-            else:
-                levels = int(np.sqrt(load.size))
-                scale = np.sqrt(3.0 * cfg.link.symbol_power / (2.0 * (load.size - 1)))
-            codes = _gray_codes(int(np.log2(levels)))
-            axes = (impairment.real,) if load is Constellation.BPSK \
-                else (impairment.real, impairment.imag)
-            for axis_noise in axes:
+            levels, step, axes = _geometry(load, cfg.link.symbol_power)
+            for axis_noise in (impairment.real, impairment.imag)[:axes]:
                 tx = rng.integers(0, levels, blocks)
-                rx = (2 * tx - (levels - 1)) * scale + axis_noise
-                hard = np.clip(np.round((rx / scale + (levels - 1)) / 2.0),
-                               0, levels - 1).astype(int)
-                total_errors += _popcount(codes[tx] ^ codes[hard])
-                total_bits += blocks * int(np.log2(levels))
+                total_errors += _pam_errors(levels, step, tx, axis_noise)
+            total_bits += blocks * load.bits_per_symbol
         done += blocks
     synthesized = total_errors / total_bits
     return {"gaussian_mean_ber": gaussian, "synthesized_mean_ber": synthesized,

@@ -17,6 +17,7 @@ from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
                           measure_ber, run_sweep, updated, validate)
 from ofdm_bitload.experiments import run_trial, sweep_csv
 from ofdm_bitload.interference import mc_variance_and_power
+from ofdm_bitload.link import ACTIVE_LADDER
 
 BASE = validate(SystemConfig())
 SIRS = (-20.0, -10.0, 0.0, 10.0, 20.0)
@@ -193,7 +194,8 @@ def test_criterion_05_allocator_correctness():
         if den == 0 or num <= 1e-4 * den:
             break
         victim = -max((b, -k) for k, b in enumerate(bers) if b is not None)[1]
-        loads[victim] = loads[victim].reduce()
+        loads[victim] = (ACTIVE_LADDER + (Constellation.NULL,))[
+            ACTIVE_LADDER.index(loads[victim]) + 1]
         oracle_trace.append((victim, loads[victim]))
     trace = []
     result = allocate(gammas, 1e-4, 0.8, trace=trace)
@@ -289,8 +291,8 @@ def test_criterion_08_estimation_error_degrades_throughput():
     cfg_v = validate(updated(BASE, {"link.est_error_var": v}))
     cfg_w = validate(updated(BASE, {"link.est_error_var": w}))
     for trial in range(20):
-        a = run_trial(cfg_v, InterferenceProfile.flat(n_sc, w), trial, SEED)
-        b = run_trial(cfg_w, InterferenceProfile.flat(n_sc, v), trial, SEED)
+        a = run_trial(cfg_v, InterferenceProfile(np.full(n_sc, w), float("nan")), trial, SEED)
+        b = run_trial(cfg_w, InterferenceProfile(np.full(n_sc, v), float("nan")), trial, SEED)
         assert a.loads == b.loads
         assert a.status is b.status
         assert a.throughput_bits == b.throughput_bits

@@ -92,7 +92,7 @@ def heap_allocate(gammas, target, cp_loss):
                     AllocationStatus.TRANSMISSION_STOPPED, iterations, trace)
         _, k = heapq.heappop(heap)
         m = bits[k]
-        m_new = int(Constellation(m).reduce())
+        m_new = int(LADDER_DOWN[Constellation(m)])
         num -= m * cur[k]
         den -= m
         if m_new:

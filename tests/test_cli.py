@@ -3,6 +3,7 @@ import json
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ofdm_bitload import SystemConfig, dump_config, updated
 from ofdm_bitload.cli import main
@@ -144,6 +145,21 @@ class TestConfigHandling:
         assert code == 3
         assert "nb.normalized_freq finite" in err
 
+    @pytest.mark.parametrize("value", ["3.5", "1e3"])
+    def test_unreadable_config_value_exit_code(self, capsys, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"ofdm.num_subcarriers = {value}\n")
+        code, _, err = run_cli(capsys, "--config", str(path), "allocate")
+        assert code == 3
+        assert "ofdm.num_subcarriers" in err
+
+    @pytest.mark.parametrize("flag", ["--snr-db", "--sir-db"])
+    def test_overflowing_db_flag_exit_code(self, capsys, flag):
+        code, out, err = run_cli(capsys, "allocate", f"{flag}=-4000")
+        assert code == 3
+        assert out == ""
+        assert "power finite" in err
+
     def test_missing_config_file_is_generic_error(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "allocate")
         assert code == 1
@@ -180,6 +196,66 @@ class TestUsage:
         assert f"argument {flag}" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+# Flag values: in range half the time, else any float as Python prints it or
+# hostile text: NaN, +-inf, huge (10^(4000/10) overflows a float), empty and
+# no number at all. A count is never a huge valid integer: a run's cost grows
+# with trials and symbols.
+_NOT_A_NUMBER = ["", "abc", "-", "0x10", "1,2"]
+_EXTREME = ["nan", "inf", "-inf", "1e400", "-4000", "4000", "-1e308", "1e308"]
+
+
+def _float_text(low, high):
+    return st.one_of(st.floats(low, high).map(repr),
+                     st.one_of(st.floats().map(repr), st.sampled_from(_EXTREME + _NOT_A_NUMBER)))
+
+
+def _count_text(low, high):
+    return st.one_of(st.integers(low, high).map(str),
+                     st.one_of(st.integers(-5, low - 1).map(str), st.floats().map(repr),
+                               st.sampled_from(_NOT_A_NUMBER)))
+
+
+_FLOAT_FLAGS = {"--snr-db": _float_text(-10.0, 60.0), "--sir-db": _float_text(-30.0, 30.0),
+                "--fn": _float_text(0.0, 1.0), "--sigma-h2": _float_text(0.0, 0.1)}
+_SUBCOMMANDS = {
+    "allocate": dict(_FLOAT_FLAGS),
+    "verify": dict(_FLOAT_FLAGS, **{"--symbols": _count_text(1, 200)}),
+    "profile-dump": {"--fn": _FLOAT_FLAGS["--fn"], "--sir-db": _FLOAT_FLAGS["--sir-db"],
+                     "--mc-symbols": _count_text(0, 20)},
+    **{name: dict(_FLOAT_FLAGS, **{"--grid": st.lists(_float_text(0.0, 40.0), min_size=1,
+                                                      max_size=3).map(",".join)})
+       for name in ("sweep-fn", "sweep-snr", "sweep-sigma-h")},
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = ["--workers", "1", f"--trials={draw(st.just('2') | _count_text(1, 2))}"]
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(_count_text(0, 10) | st.just(str(2 ** 70)))}")
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv.append(command)
+    for flag, text in _SUBCOMMANDS[command].items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(text)}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_hostile_flags_exit_cleanly(capsys, tmp_path, argv):
+    """Any argv from the flag grammar exits 0, 2 (usage) or 3 (domain), never 1."""
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "--output", str(out_csv), *argv)
+    assert code in (0, 2, 3), err
+    if code == 0:
+        if out.strip() == str(out_csv):
+            assert out_csv.is_file()
+        else:
+            json.loads(out)
 
 
 def _distribution_missing(name: str) -> bool:

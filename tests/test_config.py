@@ -4,7 +4,7 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 
-from ofdm_bitload import (DomainError, NotSupportedError, OfdmConfig, SystemConfig,
+from ofdm_bitload import (DomainError, OfdmConfig, SystemConfig,
                           dump_config, parse_config, updated, validate)
 
 
@@ -45,11 +45,6 @@ class TestValidation:
         with pytest.raises(DomainError, match="target_ber"):
             validate(bad)
 
-    def test_nonzero_window_rolloff_rejected(self, cfg):
-        bad = updated(cfg, {"ofdm.window_rolloff": 0.1})
-        with pytest.raises(NotSupportedError):
-            validate(bad)
-
     @pytest.mark.parametrize("key,value", [
         ("ofdm.bandwidth_hz", -1.0),
         ("nb.bandwidth_hz", 0.0),
@@ -59,6 +54,9 @@ class TestValidation:
         ("link.est_error_var", -1e-3),
         ("link.symbol_power", 0.0),
         ("link.target_ber", 0.5),
+        # 10^(4000/10) overflows a float power
+        ("link.avg_snr_db", -4000.0),
+        ("link.sir_db", -4000.0),
     ])
     def test_invariant_violations(self, cfg, key, value):
         with pytest.raises(DomainError):
@@ -76,6 +74,15 @@ class TestValidation:
     def test_unknown_key_rejected(self, cfg):
         with pytest.raises(DomainError, match="unknown config key"):
             updated(cfg, {"link.bogus": 1.0})
+
+    @pytest.mark.parametrize("key,value", [
+        ("ofdm.num_subcarriers", 3.5), ("ofdm.num_subcarriers", float("nan")),
+        ("ofdm.num_subcarriers", "3.5"), ("ofdm.num_subcarriers", "1e3"),
+        ("ofdm.num_subcarriers", None), ("link.sir_db", "minus ten"),
+    ], ids=["float", "nan", "text", "exponent", "none", "word"])
+    def test_unreadable_value_rejected(self, cfg, key, value):
+        with pytest.raises(DomainError, match=key):
+            updated(cfg, {key: value})
 
 
 class TestSerialization:

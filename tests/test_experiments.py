@@ -66,7 +66,7 @@ class TestRunTrial:
         assert 0 < result.throughput_bits <= 768
 
     def test_flat_zero_interference_beats_baseline(self, base_cfg, profile):
-        clean = InterferenceProfile.flat(base_cfg.ofdm.num_subcarriers, 0.0)
+        clean = InterferenceProfile(np.zeros(base_cfg.ofdm.num_subcarriers), float("nan"))
         for t in range(5):
             with_nb = run_trial(base_cfg, profile, t, base_seed=3)
             without = run_trial(base_cfg, clean, t, base_seed=3)

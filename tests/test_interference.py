@@ -278,11 +278,6 @@ class TestCalibration:
 
 
 class TestProfileUtilities:
-    def test_flat_profile(self):
-        prof = InterferenceProfile.flat(8, 0.25)
-        assert prof.method == "flat"
-        np.testing.assert_array_equal(prof.variances, np.full(8, 0.25))
-
     def test_csv_single(self, unit_profile):
         buf = io.StringIO()
         dump_profile_csv(buf, unit_profile)

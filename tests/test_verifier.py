@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
-                          InterferenceProfile, SystemConfig, allocate, ber,
-                          calibrated_profile, draw_realization, measure_ber,
-                          validate, verify_allocation)
+from ofdm_bitload import (AllocationStatus, Constellation, DomainError, SystemConfig,
+                          allocate, ber, calibrated_profile, draw_realization, measure_ber,
+                          sinr, updated, validate)
 from ofdm_bitload.experiments import run_trial, trial_stream
-from ofdm_bitload.verifier import gaussian_premise_report, measure_allocation_ber
+from ofdm_bitload.verifier import (_geometry, _pam_errors, gaussian_premise_report,
+                                   measure_allocation_ber)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +66,34 @@ class TestMeasureBer:
                         np.random.default_rng(0))
 
 
+    def test_zero_sinr_rejected(self):
+        with pytest.raises(DomainError, match="effective SNR must be positive"):
+            measure_ber(Constellation.BPSK, 0.0, 1.0, 10_000, np.random.default_rng(0))
+
+
+class TestPamErrors:
+    @pytest.mark.parametrize("levels", [2, 4, 8])
+    def test_zero_noise_and_one_step(self, levels):
+        # neighbouring levels lie 2 * step apart; noise of that size, pointing
+        # inward from the top level and upward elsewhere, lands every symbol
+        # on a neighbour, and Gray adjacency flips exactly one of its bits
+        step = 0.7
+        tx = np.arange(levels).repeat(3)
+        assert _pam_errors(levels, step, tx, np.zeros(tx.size)) == 0
+        one_step = 2.0 * step * np.where(tx == levels - 1, -1.0, 1.0)
+        assert _pam_errors(levels, step, tx, one_step) == tx.size
+
+    @pytest.mark.parametrize("constellation,power_per_symbol", [
+        (Constellation.BPSK, 2.5), (Constellation.QPSK, 5.0),
+        (Constellation.QAM16, 2.5), (Constellation.QAM64, 2.5)])
+    def test_geometry_at_symbol_power(self, constellation, power_per_symbol):
+        # B/QPSK put the symbol power on each axis, QAM spreads it over both
+        levels, step, axes = _geometry(constellation, 2.5)
+        amplitudes = (2 * np.arange(levels) - (levels - 1)) * step
+        assert axes * np.mean(amplitudes ** 2) == pytest.approx(power_per_symbol)
+        assert axes * np.log2(levels) == constellation.bits_per_symbol
+
+
 class TestMeasureAllocationBer:
     def test_weighted_mean_over_subcarriers(self):
         sinrs = np.array([2.0, 2.0])
@@ -81,30 +109,47 @@ class TestMeasureAllocationBer:
 
 
 class TestVerifyAllocation:
-    def test_interference_limited_allocation(self, base_cfg):
+    @pytest.fixture(scope="class")
+    def limited(self, base_cfg):
         # drop SIR until the allocator lands on low orders with BER near the
-        # target, then re-measure: the empirical mean must sit at the predicted
-        # mean, i.e. below target with margin for Monte Carlo noise
-        from ofdm_bitload.config import updated
+        # target; the allocation and the SINRs it was made from
         cfg = validate(updated(base_cfg, {"link.sir_db": -10.0,
                                           "link.target_ber": 1e-2}))
         profile = calibrated_profile(cfg)
-        rng = trial_stream(11, 0)
-        realization = draw_realization(cfg.channel, cfg.ofdm, rng)
+        realization = draw_realization(cfg.channel, cfg.ofdm, trial_stream(11, 0))
         result = run_trial(cfg, profile, 0, base_seed=11)
+        gammas = sinr(realization.gains_sq, cfg.link.symbol_power,
+                      cfg.link.noise_variance, cfg.link.est_error_var, profile.variances)
+        return cfg, profile, realization, result, gammas
+
+    def test_interference_limited_allocation(self, limited):
+        # re-measured at the allocator's own SINRs, the empirical mean must sit
+        # at the predicted mean, i.e. below target with margin for MC noise
+        cfg, _profile, _realization, result, gammas = limited
         assert result.status is AllocationStatus.MET
-        measured = verify_allocation(cfg, realization, result, 40_000,
-                                     np.random.default_rng(3), profile)
+        assert allocate(gammas, cfg.link.target_ber, cfg.ofdm.cp_loss_factor).loads \
+            == result.loads
+        measured = measure_allocation_ber(gammas, result.loads, cfg.ofdm.cp_loss_factor,
+                                          40_000, np.random.default_rng(3))
         assert measured == pytest.approx(result.mean_ber, rel=0.2)
         assert measured < 1.5 * cfg.link.target_ber
 
-    def test_requires_met_status(self, base_cfg):
-        stopped = allocate(np.zeros(4), 1e-4, 0.8)
-        rng = trial_stream(0, 0)
-        realization = draw_realization(base_cfg.channel, base_cfg.ofdm, rng)
-        with pytest.raises(DomainError):
-            verify_allocation(base_cfg, realization, stopped, 100,
-                              np.random.default_rng(0))
+    def test_requires_met_status(self, limited):
+        cfg, profile, realization, _result, _gammas = limited
+        stopped = allocate(np.zeros(cfg.ofdm.num_subcarriers), 1e-4, 0.8)
+        with pytest.raises(DomainError, match="met its target"):
+            gaussian_premise_report(cfg, realization, stopped, profile, 100,
+                                    np.random.default_rng(0))
+
+    @pytest.mark.parametrize("symbols", [0, -3])
+    def test_symbol_count_below_one_rejected(self, limited, symbols):
+        cfg, profile, realization, result, gammas = limited
+        with pytest.raises(DomainError, match="num_ofdm_symbols must be >= 1"):
+            measure_allocation_ber(gammas, result.loads, 0.8, symbols,
+                                   np.random.default_rng(0))
+        with pytest.raises(DomainError, match="num_ofdm_symbols must be >= 1"):
+            gaussian_premise_report(cfg, realization, result, profile, symbols,
+                                    np.random.default_rng(0))
 
 
 class TestGaussianPremise:
