@@ -2,36 +2,32 @@
 """Average throughput vs. SNR for several channel-estimation error variances.
 
 Reproduces the estimation-error experiment: F_n = 0.52, SIR = 0 dB, one SNR
-curve per sigma_h^2 in {0, 0.001, 0.01, 0.1}.
+curve (the CLI's default 0-40 dB grid) per sigma_h^2 in {0, 0.001, 0.01, 0.1}.
+Runs ``ofdm-bitload sweep-snr`` once per sigma_h^2, which writes
+sigma_h_sweep_<sigma_h^2>.csv plus its JSON sidecar. Takes the CLI's global
+flags (default 2000 trials, 1 worker).
 """
 
-import argparse
+import sys
 
-from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, run_sweep
-from ofdm_bitload.experiments import write_sweep_csv, write_sweep_json
+from ofdm_bitload import cli
 
 SIGMA_H2 = (0.0, 0.001, 0.01, 0.1)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--prefix", default="sigma_h_sweep")
-    args = parser.parse_args()
-
-    grid = tuple(float(x) for x in range(0, 41, 5))
-    cfg = SystemConfig()
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if {"-h", "--help"} & set(argv):
+        print(__doc__)
+        return cli.main(["--help"])
     for sigma_h2 in SIGMA_H2:
-        spec = SweepSpec(SweepKind.SNR, grid, args.trials, args.seed,
-                         fixed={"link.est_error_var": sigma_h2})
-        records = run_sweep(spec, cfg, workers=args.workers)
-        stem = f"{args.prefix}_{sigma_h2:g}"
-        write_sweep_csv(records, stem + ".csv")
-        write_sweep_json(records, spec, cfg, stem + ".json")
-        print(stem + ".csv")
+        code = cli.main(["--trials", "2000", "--workers", "1", *argv,
+                         "--output", f"sigma_h_sweep_{sigma_h2:g}.csv",
+                         "sweep-snr", "--sigma-h2", repr(sigma_h2)])
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

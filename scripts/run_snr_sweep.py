@@ -1,37 +1,32 @@
 #!/usr/bin/env python3
 """Average throughput vs. average SNR, one curve per SIR.
 
-Reproduces the saturation experiment: F_n = 0.52, SNR 0-40 dB, SIR in
-{-20, -10, 0, 10, 20} dB. Writes one CSV (plus JSON sidecar) per SIR.
+Reproduces the saturation experiment: F_n = 0.52, SNR 0-40 dB (the CLI's
+default grid), SIR in {-20, -10, 0, 10, 20} dB. Runs ``ofdm-bitload sweep-snr``
+once per SIR, which writes snr_sweep_sir<SIR>.csv plus its JSON sidecar.
+Takes the CLI's global flags (default 2000 trials, 1 worker).
 """
 
-import argparse
+import sys
 
-from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, run_sweep
-from ofdm_bitload.experiments import write_sweep_csv, write_sweep_json
+from ofdm_bitload import cli
 
 SIRS = (-20.0, -10.0, 0.0, 10.0, 20.0)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--prefix", default="snr_sweep")
-    args = parser.parse_args()
-
-    grid = tuple(float(x) for x in range(0, 41, 5))
-    cfg = SystemConfig()
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if {"-h", "--help"} & set(argv):
+        print(__doc__)
+        return cli.main(["--help"])
     for sir in SIRS:
-        spec = SweepSpec(SweepKind.SNR, grid, args.trials, args.seed,
-                         fixed={"link.sir_db": sir})
-        records = run_sweep(spec, cfg, workers=args.workers)
-        stem = f"{args.prefix}_sir{sir:+g}"
-        write_sweep_csv(records, stem + ".csv")
-        write_sweep_json(records, spec, cfg, stem + ".json")
-        print(stem + ".csv")
+        code = cli.main(["--trials", "2000", "--workers", "1", *argv,
+                         "--output", f"snr_sweep_sir{sir:+g}.csv",
+                         "sweep-snr", "--sir-db", repr(sir)])
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

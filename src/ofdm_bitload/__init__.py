@@ -15,8 +15,8 @@ from .errors import DomainError
 from .experiments import (SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial,
                           write_sweep_csv, write_sweep_json)
 from .interference import (InterferenceProfile, RrcPulse, analytic_variance,
-                           calibrate_sigma_b2, calibrated_profile, mc_variance,
-                           mc_variance_and_power, synthesize_nb_blocks)
+                           calibrated_profile, mc_variance, mc_variance_and_power,
+                           synthesize_nb_blocks)
 from .link import Constellation, ber, q_function, sinr
 from .verifier import (EmpiricalBer, gaussian_premise_report, measure_allocation_ber,
                        measure_ber)

@@ -30,6 +30,10 @@ _SWEEP_DEFAULT_GRID = {
     SweepKind.SIGMA_H: (0.0, 0.001, 0.01, 0.1),
 }
 
+# Link flags and the config keys they set; each flag stores under its key.
+_LINK_FLAGS = {"--snr-db": "link.avg_snr_db", "--sir-db": "link.sir_db",
+               "--fn": "nb.normalized_freq", "--sigma-h2": "link.est_error_var"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     def at_least(low: int):
@@ -56,33 +60,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="output CSV path")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def link_flags(p, flags) -> None:
+        for flag in flags:
+            p.add_argument(flag, dest=_LINK_FLAGS[flag], type=float, default=None,
+                           metavar=flag[2:].upper().replace("-", "_"))
+
     for name, kind in (("sweep-fn", SweepKind.FN), ("sweep-snr", SweepKind.SNR),
                        ("sweep-sigma-h", SweepKind.SIGMA_H)):
         p = sub.add_parser(name, help=f"average-throughput sweep over {kind.value}")
         p.set_defaults(kind=kind)
         p.add_argument("--grid", type=grid, default=None,
                        help="comma-separated grid values (default: built-in grid)")
-        p.add_argument("--snr-db", type=float, default=None)
-        p.add_argument("--sir-db", type=float, default=None)
-        p.add_argument("--fn", type=float, default=None)
-        p.add_argument("--sigma-h2", type=float, default=None)
+        # the swept key comes from the grid, so its own flag is not accepted
+        link_flags(p, [f for f, key in _LINK_FLAGS.items()
+                       if key != experiments._GRID_KEY[kind]])
 
     p = sub.add_parser("allocate", help="one-shot allocation for a single channel draw")
-    for flag, typ in (("--snr-db", float), ("--sir-db", float), ("--fn", float),
-                      ("--sigma-h2", float)):
-        p.add_argument(flag, type=typ, default=None)
+    link_flags(p, _LINK_FLAGS)
 
     p = sub.add_parser("profile-dump", help="per-subcarrier interference variance CSV")
-    p.add_argument("--fn", type=float, default=None)
-    p.add_argument("--sir-db", type=float, default=None)
+    link_flags(p, ["--fn", "--sir-db"])
     p.add_argument("--mc-symbols", type=at_least(0), default=0,
                    help="also compute the Monte Carlo profile over this many symbols")
 
     p = sub.add_parser("verify", help="symbol-level re-measurement of one allocation")
-    p.add_argument("--snr-db", type=float, default=None)
-    p.add_argument("--sir-db", type=float, default=None)
-    p.add_argument("--fn", type=float, default=None)
-    p.add_argument("--sigma-h2", type=float, default=None)
+    link_flags(p, _LINK_FLAGS)
     p.add_argument("--symbols", type=at_least(1), default=100_000,
                    help="OFDM symbols to transmit per subcarrier")
     return parser
@@ -91,12 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_base_config(args) -> SystemConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
     cfg = load_config(path) if path else SystemConfig()
-    overrides = {}
-    for attr, key in (("snr_db", "link.avg_snr_db"), ("sir_db", "link.sir_db"),
-                      ("fn", "nb.normalized_freq"), ("sigma_h2", "link.est_error_var")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _LINK_FLAGS.values() and value is not None}
     return validate(updated(cfg, overrides))
 
 

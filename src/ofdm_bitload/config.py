@@ -128,24 +128,11 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     return cfg
 
 
-# Flat key-value config file support. Keys mirror the dataclass fields.
-_KEY_MAP = {
-    "ofdm.bandwidth_hz": ("ofdm", "bandwidth_hz", float),
-    "ofdm.num_subcarriers": ("ofdm", "num_subcarriers", int),
-    "ofdm.cp_fraction": ("ofdm", "cp_fraction", float),
-    "ofdm.postfix_s": ("ofdm", "postfix_s", float),
-    "nb.bandwidth_hz": ("nb", "bandwidth_hz", float),
-    "nb.rolloff": ("nb", "rolloff", float),
-    "nb.normalized_freq": ("nb", "normalized_freq", float),
-    "nb.pulse_span_symbols": ("nb", "pulse_span_symbols", int),
-    "channel.num_taps": ("channel", "num_taps", int),
-    "channel.decay_factor": ("channel", "decay_factor", float),
-    "link.avg_snr_db": ("link", "avg_snr_db", float),
-    "link.sir_db": ("link", "sir_db", float),
-    "link.est_error_var": ("link", "est_error_var", float),
-    "link.target_ber": ("link", "target_ber", float),
-    "link.symbol_power": ("link", "symbol_power", float),
-}
+# Flat key-value config file support: one "section.field" key per dataclass
+# field, read as the type of its default.
+_KEY_MAP = {f"{section.name}.{f.name}": (section.name, f.name, type(f.default))
+            for section in dataclasses.fields(SystemConfig)
+            for f in dataclasses.fields(section.default)}
 
 
 def updated(cfg: SystemConfig, overrides: dict) -> SystemConfig:

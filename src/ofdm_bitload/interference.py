@@ -22,7 +22,7 @@ N-point FFT. Two independent routes compute the variance of FFT bin k:
   symbols and random delays, pushes it through the receiver FFT, and
   averages ``|Z_k|^2``.
 
-Both are linear in the interferer symbol power, which ``calibrate_sigma_b2``
+Both are linear in the interferer symbol power, which ``calibrated_profile``
 exploits to hit a requested post-FFT signal-to-interference ratio.
 """
 
@@ -118,16 +118,24 @@ def _pulse_autocorrelation(pulse: RrcPulse, lag_s: float, num_lags: int) -> np.n
     return r - h * (1.0 - 2.0 * phi) * pulse.eval(edge) * pulse.eval(edge - lags * h)
 
 
+def _carrier(f_n: float, num_samples: int) -> np.ndarray:
+    """Carrier phases exp(j 2 pi F_n n), n < num_samples, from F_n mod 1.
+
+    Exact because n is an integer; it keeps 2 pi F_n n finite for any finite
+    F_n and is bit-identical to the direct form for F_n in [0, 1).
+    """
+    return np.exp(2j * np.pi * (f_n % 1.0) * np.arange(num_samples))
+
+
 def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile:
     """Closed-form per-subcarrier interference variance (see module docstring)."""
     n_sc = cfg.ofdm.num_subcarriers
     pulse = RrcPulse.from_config(cfg.nb)
-    f_n = cfg.nb.normalized_freq
     r = _pulse_autocorrelation(pulse, cfg.ofdm.sample_period_s, n_sc)
     d = np.arange(n_sc)
     # the lags -d carry the complex conjugates of the lags +d, so the sum over
     # |d| < N is twice the real part of an FFT over d >= 0, less the d = 0 term
-    c = (1.0 - d / n_sc) * r * np.exp(2j * np.pi * f_n * d)
+    c = (1.0 - d / n_sc) * r * _carrier(cfg.nb.normalized_freq, n_sc)
     acc = 2.0 * np.fft.fft(c).real - r[0]
     return InterferenceProfile(variances=sigma_b2 / pulse.symbol_period_s * acc,
                                symbol_power=sigma_b2)
@@ -155,7 +163,7 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     big_t = pulse.symbol_period_s
     span = pulse.span_symbols
     n = np.arange(n_sc)
-    phase = np.exp(2j * np.pi * cfg.nb.normalized_freq * n)
+    phase = _carrier(cfg.nb.normalized_freq, n_sc)
     l_lo = -span - 2
     l_hi = int(np.ceil((n_sc - 1) * t_s / big_t)) + span + 2
     ls = np.arange(l_lo, l_hi + 1)
@@ -202,29 +210,23 @@ def mc_variance_and_power(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
     return profile, power / (num_symbols * n_sc)
 
 
-def _sigma_b2_for_sir(cfg: SystemConfig, unit: InterferenceProfile, sir_db: float) -> float:
-    """Symbol power that scales the unit-power profile ``unit`` to ``sir_db``."""
-    if not np.isfinite(sir_db):
-        raise DomainError("sir_db must be finite")
-    # > 0 always: by Parseval the unit profile sums to N r_p(0) / T
-    total = float(unit.variances.sum())
-    n_sc = cfg.ofdm.num_subcarriers
-    return n_sc * cfg.link.symbol_power * 10.0 ** (-sir_db / 10.0) / total
-
-
-def calibrate_sigma_b2(cfg: SystemConfig, sir_db: float) -> float:
-    """Interferer symbol power achieving the requested post-FFT SIR.
+def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
+    """Analytic profile scaled so the post-FFT SIR equals cfg.link.sir_db.
 
     SIR is the mean OFDM subcarrier power (symbol_power, since the channel is
     gain-normalized) over the subcarrier-averaged interference variance.
     """
-    return _sigma_b2_for_sir(cfg, analytic_variance(cfg, 1.0), sir_db)
-
-
-def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
-    """Analytic profile scaled so the post-FFT SIR equals cfg.link.sir_db."""
+    sir_db = cfg.link.sir_db
+    if not np.isfinite(sir_db):
+        raise DomainError("link.sir_db must be finite")
     unit = analytic_variance(cfg, 1.0)
-    return unit.scaled(_sigma_b2_for_sir(cfg, unit, cfg.link.sir_db))
+    # > 0 always: by Parseval the unit profile sums to N r_p(0) / T
+    total = float(unit.variances.sum())
+    n_sc = cfg.ofdm.num_subcarriers
+    sigma_b2 = n_sc * cfg.link.symbol_power * 10.0 ** (-sir_db / 10.0) / total
+    if not np.isfinite(sigma_b2):
+        raise DomainError(f"link.sir_db = {sir_db!r}: interferer symbol power overflows")
+    return unit.scaled(sigma_b2)
 
 
 def dump_profile_csv(fh, analytic: InterferenceProfile,

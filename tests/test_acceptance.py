@@ -13,8 +13,8 @@ from scipy.special import erfc
 from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
                           InterferenceProfile, SweepKind, SweepSpec,
                           SystemConfig, allocate, analytic_variance, ber,
-                          calibrate_sigma_b2, draw_realization, mc_variance,
-                          measure_ber, run_sweep, updated, validate)
+                          draw_realization, mc_variance, measure_ber, run_sweep,
+                          updated, validate)
 from ofdm_bitload.experiments import run_trial, sweep_csv
 from ofdm_bitload.interference import mc_variance_and_power
 from ofdm_bitload.link import ACTIVE_LADDER

@@ -1,11 +1,13 @@
 import importlib.metadata
 import json
+import math
 import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ofdm_bitload import SystemConfig, dump_config, updated
+from ofdm_bitload.config import config_as_dict
 from ofdm_bitload.cli import main
 from ofdm_bitload.experiments import CSV_HEADER
 
@@ -70,6 +72,35 @@ class TestSweep:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep-fn", "--fn"), ("sweep-snr", "--snr-db"), ("sweep-sigma-h", "--sigma-h2")])
+    def test_own_axis_flag_is_usage_error(self, capsys, tmp_path, command, flag):
+        # the grid sets the swept key, so its flag could only be ignored
+        code, out, err = run_cli(
+            capsys, "--trials", "2", "--workers", "1", "--output", str(tmp_path / "x.csv"),
+            command, "--grid", "0.01", flag, "0.5")
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--snr-db", "link.avg_snr_db", 17.5), ("--sir-db", "link.sir_db", -3.5),
+        ("--fn", "nb.normalized_freq", 0.31), ("--sigma-h2", "link.est_error_var", 0.004)])
+    def test_link_flag_sets_its_config_key(self, capsys, tmp_path, flag, key, value):
+        command, grid = ("sweep-snr", "10") if flag == "--fn" else ("sweep-fn", "0.45")
+        out_csv = tmp_path / "x.csv"
+        code, _, _ = run_cli(capsys, "--trials", "2", "--workers", "1",
+                             "--output", str(out_csv), command, "--grid", grid,
+                             flag, repr(value))
+        assert code == 0
+        sidecar = json.loads((tmp_path / "x.json").read_text())
+        assert sidecar["sweep"]["fixed"] == {}
+        defaults = config_as_dict(SystemConfig())
+        for other in ("link.avg_snr_db", "link.sir_db", "nb.normalized_freq",
+                      "link.est_error_var"):
+            assert sidecar["config"][other] == (value if other == key else defaults[other])
+
 
 class TestProfileDump:
     def test_analytic_only(self, capsys, tmp_path):
@@ -92,6 +123,18 @@ class TestProfileDump:
             rows = out_csv.read_text().strip().split("\n")[1:]
             columns.append([row.split(",")[:2] for row in rows])
         assert columns[0] == columns[1]
+
+    def test_huge_offset_profile_is_finite(self, capsys, tmp_path):
+        texts = []
+        for fn in ("0", "1e308"):
+            out_csv = tmp_path / f"prof{fn}.csv"
+            code, _, _ = run_cli(capsys, "--output", str(out_csv), "profile-dump",
+                                 f"--fn={fn}")
+            assert code == 0
+            texts.append(out_csv.read_text())
+        rows = [row.split(",") for row in texts[1].strip().split("\n")[1:]]
+        assert all(math.isfinite(float(v)) for _, v in rows)
+        assert texts[1] == texts[0]
 
     def test_with_mc_column(self, capsys, tmp_path):
         out_csv = tmp_path / "prof.csv"
@@ -160,6 +203,13 @@ class TestConfigHandling:
         assert out == ""
         assert "power finite" in err
 
+    def test_overflowing_interferer_power_exit_code(self, capsys):
+        # 10^308 passes validate, but calibration multiplies it by N
+        code, out, err = run_cli(capsys, "allocate", "--sir-db=-3080")
+        assert code == 3
+        assert out == ""
+        assert "link.sir_db" in err
+
     def test_missing_config_file_is_generic_error(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "allocate")
         assert code == 1
@@ -203,7 +253,7 @@ class TestUsage:
 # no number at all. A count is never a huge valid integer: a run's cost grows
 # with trials and symbols.
 _NOT_A_NUMBER = ["", "abc", "-", "0x10", "1,2"]
-_EXTREME = ["nan", "inf", "-inf", "1e400", "-4000", "4000", "-1e308", "1e308"]
+_EXTREME = ["nan", "inf", "-inf", "1e400", "-4000", "-3080", "4000", "-1e308", "1e308"]
 
 
 def _float_text(low, high):
@@ -224,9 +274,12 @@ _SUBCOMMANDS = {
     "verify": dict(_FLOAT_FLAGS, **{"--symbols": _count_text(1, 200)}),
     "profile-dump": {"--fn": _FLOAT_FLAGS["--fn"], "--sir-db": _FLOAT_FLAGS["--sir-db"],
                      "--mc-symbols": _count_text(0, 20)},
-    **{name: dict(_FLOAT_FLAGS, **{"--grid": st.lists(_float_text(0.0, 40.0), min_size=1,
-                                                      max_size=3).map(",".join)})
-       for name in ("sweep-fn", "sweep-snr", "sweep-sigma-h")},
+    # a sweep takes every link flag but its own axis's
+    **{name: dict({f: t for f, t in _FLOAT_FLAGS.items() if f != axis},
+                  **{"--grid": st.lists(_float_text(0.0, 40.0), min_size=1,
+                                        max_size=3).map(",".join)})
+       for name, axis in (("sweep-fn", "--fn"), ("sweep-snr", "--snr-db"),
+                          ("sweep-sigma-h", "--sigma-h2"))},
 }
 
 

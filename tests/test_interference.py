@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ofdm_bitload import (DomainError, InterferenceProfile, RrcPulse, SystemConfig,
-                          analytic_variance, calibrate_sigma_b2, calibrated_profile,
-                          mc_variance, mc_variance_and_power, updated, validate)
+                          analytic_variance, calibrated_profile, mc_variance,
+                          mc_variance_and_power, updated, validate)
 from ofdm_bitload import interference
 from ofdm_bitload.interference import dump_profile_csv, synthesize_nb_blocks
 
@@ -137,10 +137,21 @@ class TestAnalyticVariance:
         shifted = validate(updated(base_cfg, {"nb.normalized_freq":
                                               base_cfg.nb.normalized_freq + 1.0}))
         prof = analytic_variance(shifted, 1.0)
-        # not bit-identical: the phase argument 2 pi (F_n + 1) n loses a few
-        # ulps mod 2 pi, so allow rounding noise
+        # not bit-identical: F_n + 1 rounds away a few low bits of F_n, so
+        # allow rounding noise
         np.testing.assert_allclose(prof.variances, unit_profile.variances,
                                    rtol=1e-9)
+
+    def test_huge_offset_is_reduced_mod_one(self, base_cfg):
+        # every float from 2^52 up is an integer, so 1e308 carries F_n = 0's
+        # phases, where 2 pi F_n n itself would overflow to a NaN profile
+        zero, huge = (validate(updated(base_cfg, {"nb.normalized_freq": fn}))
+                      for fn in (0.0, 1e308))
+        np.testing.assert_array_equal(analytic_variance(huge, 1.0).variances,
+                                      analytic_variance(zero, 1.0).variances)
+        np.testing.assert_array_equal(
+            synthesize_nb_blocks(huge, 1.0, 3, np.random.default_rng(4)),
+            synthesize_nb_blocks(zero, 1.0, 3, np.random.default_rng(4)))
 
     def test_peak_follows_carrier(self, base_cfg):
         # the sampled model is periodic in F_n mod 1; within [0, 1) the peak
@@ -248,6 +259,10 @@ class TestMonteCarlo:
             mc_variance(base_cfg, 1.0, 0, np.random.default_rng(0))
 
 
+def _sigma_b2(cfg, sir_db):
+    return calibrated_profile(updated(cfg, {"link.sir_db": sir_db})).symbol_power
+
+
 class TestCalibration:
     def test_zero_sir_means_unit_mean_variance(self, base_cfg):
         prof = calibrated_profile(base_cfg)
@@ -256,25 +271,27 @@ class TestCalibration:
             base_cfg.link.symbol_power, rel=1e-12)
 
     def test_ten_db_scales_down_tenfold(self, base_cfg):
-        s0 = calibrate_sigma_b2(base_cfg, 0.0)
-        s10 = calibrate_sigma_b2(base_cfg, 10.0)
+        s0 = _sigma_b2(base_cfg, 0.0)
+        s10 = _sigma_b2(base_cfg, 10.0)
         assert s10 == pytest.approx(s0 / 10.0, rel=1e-12)
-
-    def test_profile_consistent_with_sigma(self, base_cfg):
-        prof = calibrated_profile(base_cfg)
-        assert prof.symbol_power == pytest.approx(
-            calibrate_sigma_b2(base_cfg, base_cfg.link.sir_db), rel=1e-12)
 
     def test_mc_closes_the_loop(self, base_cfg):
         # synthesize at the calibrated power and verify the realized SIR
-        sigma = calibrate_sigma_b2(base_cfg, 0.0)
+        sigma = _sigma_b2(base_cfg, 0.0)
         mc = mc_variance(base_cfg, sigma, 20_000, np.random.default_rng(55))
         realized_sir = base_cfg.link.symbol_power / mc.variances.mean()
         assert realized_sir == pytest.approx(1.0, rel=0.05)
 
     def test_infinite_sir_rejected(self, base_cfg):
         with pytest.raises(DomainError):
-            calibrate_sigma_b2(base_cfg, float("inf"))
+            _sigma_b2(base_cfg, float("inf"))
+
+    def test_overflowing_sir_rejected(self, base_cfg):
+        # validate passes: symbol_power * 10^308 is finite, but N times it,
+        # which calibration divides by the summed profile, is not
+        cfg = validate(updated(base_cfg, {"link.sir_db": -3080.0}))
+        with pytest.raises(DomainError, match="link.sir_db"):
+            calibrated_profile(cfg)
 
 
 class TestProfileUtilities:
