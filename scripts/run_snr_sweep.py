@@ -19,6 +19,12 @@ def main(argv=None) -> int:
     if {"-h", "--help"} & set(argv):
         print(__doc__)
         return cli.main(["--help"])
+    # the script names its own files; argparse also reads an abbreviation such as --out
+    if any(len(a) > 2 and "--output".startswith(a.split("=")[0]) for a in argv):
+        print("usage: run_snr_sweep.py [ofdm-bitload global flags other than --output]\n"
+              "run_snr_sweep.py: error: --output is not accepted; the script names its own "
+              "files", file=sys.stderr)
+        return 2
     for sir in SIRS:
         code = cli.main(["--trials", "2000", "--workers", "1", *argv,
                          "--output", f"snr_sweep_sir{sir:+g}.csv",

@@ -7,13 +7,12 @@ per-subcarrier bit allocation under a mean-BER constraint, throughput
 sweep experiments, and a symbol-level verification oracle.
 """
 
-from .allocator import AllocationResult, AllocationStatus, allocate, mean_ber
+from .allocator import AllocationResult, AllocationStatus, allocate
 from .channel import ChannelRealization, draw_realization, pdp_constant
 from .config import (ChannelConfig, LinkConfig, NbConfig, OfdmConfig, SystemConfig,
                      dump_config, load_config, parse_config, updated, validate)
 from .errors import DomainError
-from .experiments import (SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial,
-                          write_sweep_csv, write_sweep_json)
+from .experiments import SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial
 from .interference import (InterferenceProfile, RrcPulse, analytic_variance,
                            calibrated_profile, mc_variance, mc_variance_and_power,
                            synthesize_nb_blocks)

@@ -47,20 +47,6 @@ class AllocationResult:
     iterations: int
 
 
-def mean_ber(loads, per_ber) -> float:
-    """Bit-weighted average BER over the active subcarriers."""
-    num = 0.0
-    den = 0
-    for load, b in zip(loads, per_ber):
-        m = load.bits_per_symbol if isinstance(load, Constellation) else int(load)
-        if m > 0:
-            num += m * b
-            den += m
-    if den == 0:
-        raise DomainError("no active subcarriers")
-    return num / den
-
-
 def _reduce(g: np.ndarray, target_ber: float, cp_loss: float):
     """The greedy reduction of every row (one trial each) of ``g``, rows x N.
 

@@ -2,17 +2,18 @@
 
 Subcommands: sweep-fn, sweep-snr, sweep-sigma-h, allocate, profile-dump,
 verify. Machine-readable summaries go to stdout; progress and diagnostics to
-stderr. Output files are written atomically (temp file + rename) with a JSON
-provenance sidecar next to each CSV.
+stderr. This is the one module that writes files: each CSV is written
+atomically (temp file + rename) with a strict-JSON provenance sidecar next to it.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
+import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -98,6 +99,33 @@ def _load_base_config(args) -> SystemConfig:
     return validate(updated(cfg, overrides))
 
 
+def _atomic_write(path, text: str) -> None:
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_outputs(args, default_path: str, csv_text: str, sidecar: dict) -> int:
+    """Write the CSV to --output (or default_path) and its <stem>.json sidecar.
+
+    The sidecar is encoded first, as strict JSON, so a value it cannot hold
+    (NaN, infinity) fails the run before either file is written.
+    """
+    out = args.output or default_path
+    meta = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _atomic_write(out, csv_text)
+    _atomic_write(os.path.splitext(out)[0] + ".json", meta)
+    print(out)
+    return 0
+
+
 def _cmd_sweep(args, cfg: SystemConfig) -> int:
     kind = args.kind
     grid = args.grid or _SWEEP_DEFAULT_GRID[kind]
@@ -105,11 +133,15 @@ def _cmd_sweep(args, cfg: SystemConfig) -> int:
     print(f"running {kind.value} sweep: {len(grid)} points x {args.trials} trials",
           file=sys.stderr)
     records = run_sweep(spec, cfg, workers=args.workers)
-    out = args.output or f"sweep_{kind.value}.csv"
-    experiments.write_sweep_csv(records, out)
-    experiments.write_sweep_json(records, spec, cfg, os.path.splitext(out)[0] + ".json")
-    print(out)
-    return 0
+    # provenance: resolved config, spec and records, enough to re-run the sweep
+    sidecar = {
+        "sweep": {"kind": kind.value, "grid": list(spec.grid), "trials": spec.trials,
+                  "base_seed": spec.base_seed, "fixed": dict(spec.fixed)},
+        "config": config_as_dict(cfg),
+        "records": [asdict(r) for r in records],
+    }
+    return _write_outputs(args, f"sweep_{kind.value}.csv",
+                          experiments.sweep_csv(records), sidecar)
 
 
 def _cmd_allocate(args, cfg: SystemConfig) -> int:
@@ -134,16 +166,10 @@ def _cmd_profile_dump(args, cfg: SystemConfig) -> int:
     if args.mc_symbols > 0:
         mc = interference.mc_variance(cfg, analytic.symbol_power, args.mc_symbols,
                                       np.random.default_rng(args.seed))
-    buf = io.StringIO()
-    interference.dump_profile_csv(buf, analytic, mc)
-    out = args.output or "interference_profile.csv"
-    experiments._atomic_write(out, buf.getvalue())
     sidecar = {"config": config_as_dict(cfg), "seed": args.seed,
                "sigma_b2": analytic.symbol_power}
-    experiments._atomic_write(os.path.splitext(out)[0] + ".json",
-                              json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    print(out)
-    return 0
+    return _write_outputs(args, "interference_profile.csv",
+                          interference.profile_csv(analytic, mc), sidecar)
 
 
 def _cmd_verify(args, cfg: SystemConfig) -> int:

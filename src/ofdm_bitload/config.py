@@ -84,8 +84,13 @@ class SystemConfig:
 
     @property
     def carrier_offset_hz(self) -> float:
-        """Interferer carrier offset from the OFDM carrier, F_n * BW."""
-        return self.nb.normalized_freq * self.ofdm.bandwidth_hz
+        """Interferer carrier offset from the OFDM carrier, (F_n mod 1) * BW.
+
+        The carrier is sampled at integer n, so F_n acts only mod 1: this is
+        the offset the model simulates, finite for any finite F_n and equal
+        to F_n * BW bit for bit when F_n is in [0, 1).
+        """
+        return (self.nb.normalized_freq % 1.0) * self.ofdm.bandwidth_hz
 
 
 def _check(cond: bool, name: str) -> None:

@@ -10,19 +10,16 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import multiprocessing
-import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocator import AllocationResult, _reduce, allocate
 from .channel import _draw_stacked
-from .config import SystemConfig, config_as_dict, updated, validate
+from .config import SystemConfig, updated, validate
 from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
@@ -161,39 +158,11 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
     return records
 
 
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def sweep_csv(records: list[SweepRecord]) -> str:
+    """The sweep as CSV text, one row per grid value under CSV_HEADER."""
     lines = [CSV_HEADER]
     for r in records:
         lines.append(f"{r.x!r},{r.avg_throughput_bits!r},{r.stderr_bits!r},"
                      f"{r.stopped_fraction!r},{r.trials},{r.seed}")
     return "\n".join(lines) + "\n"
 
-
-def write_sweep_csv(records: list[SweepRecord], path) -> None:
-    _atomic_write(path, sweep_csv(records))
-
-
-def write_sweep_json(records: list[SweepRecord], spec: SweepSpec,
-                     cfg: SystemConfig, path) -> None:
-    """Provenance sidecar: resolved config + spec + records, re-run sufficient."""
-    payload = {
-        "sweep": {"kind": spec.kind.value, "grid": list(spec.grid),
-                  "trials": spec.trials, "base_seed": spec.base_seed,
-                  "fixed": dict(spec.fixed)},
-        "config": config_as_dict(validate(updated(cfg, spec.fixed))),
-        "records": [asdict(r) for r in records],
-    }
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

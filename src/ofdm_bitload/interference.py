@@ -107,14 +107,18 @@ def _pulse_autocorrelation(pulse: RrcPulse, lag_s: float, num_lags: int) -> np.n
     """
     h = lag_s / _OVERSAMPLE
     edge = pulse.span_symbols * pulse.symbol_period_s
-    m = int(np.floor(edge / h))
+    edge_samples = edge / h
+    if not np.isfinite(edge_samples):
+        raise DomainError(f"nb.bandwidth_hz: the {edge!r} s pulse is not a finite "
+                          f"number of {h!r} s samples")
+    m = int(np.floor(edge_samples))
     # p is even; mirroring the half t >= 0 halves eval's temporaries
     half = pulse.eval(np.arange(m + 1) * h)
     samples = np.concatenate([half[:0:-1], half])
     lags = np.arange(num_lags) * _OVERSAMPLE
     padded = np.concatenate([samples, np.zeros(lags[-1])])
     r = h * np.array([samples @ padded[j:j + samples.size] for j in lags])
-    phi = edge / h - m
+    phi = edge_samples - m
     return r - h * (1.0 - 2.0 * phi) * pulse.eval(edge) * pulse.eval(edge - lags * h)
 
 
@@ -222,6 +226,9 @@ def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
     unit = analytic_variance(cfg, 1.0)
     # > 0 always: by Parseval the unit profile sums to N r_p(0) / T
     total = float(unit.variances.sum())
+    if not np.isfinite(total):
+        raise DomainError(f"nb.bandwidth_hz = {cfg.nb.bandwidth_hz!r}: interference "
+                          f"profile not finite at ofdm.bandwidth_hz = {cfg.ofdm.bandwidth_hz!r}")
     n_sc = cfg.ofdm.num_subcarriers
     sigma_b2 = n_sc * cfg.link.symbol_power * 10.0 ** (-sir_db / 10.0) / total
     if not np.isfinite(sigma_b2):
@@ -229,13 +236,13 @@ def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
     return unit.scaled(sigma_b2)
 
 
-def dump_profile_csv(fh, analytic: InterferenceProfile,
-                     montecarlo: InterferenceProfile | None = None) -> None:
-    if montecarlo is None:
-        fh.write("k,variance_analytic\n")
-        for k, v in enumerate(analytic.variances):
-            fh.write(f"{k},{float(v)!r}\n")
-    else:
-        fh.write("k,variance_analytic,variance_mc\n")
-        for k, (va, vm) in enumerate(zip(analytic.variances, montecarlo.variances)):
-            fh.write(f"{k},{float(va)!r},{float(vm)!r}\n")
+def profile_csv(analytic: InterferenceProfile,
+                montecarlo: InterferenceProfile | None = None) -> str:
+    """The profile as CSV text, one row per subcarrier k; the MC column if given."""
+    columns = {"variance_analytic": analytic.variances}
+    if montecarlo is not None:
+        columns["variance_mc"] = montecarlo.variances
+    lines = [",".join(["k", *columns])]
+    lines += [",".join([str(k), *(repr(float(v)) for v in row)])
+              for k, row in enumerate(zip(*columns.values()))]
+    return "\n".join(lines) + "\n"

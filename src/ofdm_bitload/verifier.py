@@ -37,6 +37,8 @@ from .interference import InterferenceProfile, synthesize_nb_blocks
 from .link import Constellation, ber
 
 _MAX_CHUNK = 1 << 21
+# measure_ber refuses a bit count whose expected error count is below this
+_MIN_EXPECTED_ERRORS = 100.0
 
 
 @dataclass(frozen=True)
@@ -86,16 +88,15 @@ def _count_bit_errors(constellation: Constellation, geff: float, num_symbols: in
 
 
 def measure_ber(constellation: Constellation, sinr: float, cp_loss: float,
-                num_bits: int, rng: np.random.Generator,
-                min_expected_errors: float = 100.0) -> EmpiricalBer:
+                num_bits: int, rng: np.random.Generator) -> EmpiricalBer:
     """Empirical BER from hard-decision transmission at effective SNR cp_loss*sinr."""
     if constellation is Constellation.NULL:
         raise DomainError("cannot measure BER on a nulled subcarrier")
     predicted = ber(constellation, sinr, cp_loss)
-    if predicted * num_bits < min_expected_errors:
+    if predicted * num_bits < _MIN_EXPECTED_ERRORS:
         raise DomainError(
             f"num_bits={num_bits} yields {predicted * num_bits:.1f} expected errors "
-            f"(< {min_expected_errors:g}) at predicted BER {predicted:.3e}")
+            f"(< {_MIN_EXPECTED_ERRORS:g}) at predicted BER {predicted:.3e}")
     m = constellation.bits_per_symbol
     num_symbols = int(np.ceil(num_bits / m))
     bits_sent = num_symbols * m

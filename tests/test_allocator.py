@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ofdm_bitload import (AllocationStatus, Constellation, DomainError, allocate,
-                          ber, mean_ber)
+from ofdm_bitload import AllocationStatus, Constellation, DomainError, allocate, ber
 from ofdm_bitload.link import ACTIVE_LADDER
 
 LADDER_DOWN = {Constellation.QAM64: Constellation.QAM16,
@@ -179,27 +178,6 @@ class TestKnownInstances:
         assert allocate(better, 1e-4, 0.8).throughput_bits == 8
 
 
-class TestMeanBer:
-    def test_single_active(self):
-        assert mean_ber([Constellation.QPSK], [1e-3]) == pytest.approx(1e-3)
-
-    def test_equal_weights(self):
-        got = mean_ber([Constellation.QPSK, Constellation.QPSK], [1e-3, 3e-3])
-        assert got == pytest.approx(2e-3)
-
-    def test_bit_weighting(self):
-        got = mean_ber([Constellation.QAM64, Constellation.BPSK], [1e-4, 1e-2])
-        assert got == pytest.approx((6e-4 + 1e-2) / 7)
-
-    def test_nulls_excluded(self):
-        got = mean_ber([Constellation.NULL, Constellation.BPSK], [np.nan, 1e-3])
-        assert got == pytest.approx(1e-3)
-
-    def test_all_null_rejected(self):
-        with pytest.raises(DomainError):
-            mean_ber([Constellation.NULL], [np.nan])
-
-
 @st.composite
 def sinr_arrays(draw, max_n=24):
     n = draw(st.integers(1, max_n))
@@ -226,7 +204,9 @@ class TestProperties:
         if result.status is AllocationStatus.MET:
             assert result.throughput_bits >= 1
             assert result.mean_ber <= target
-            recomputed = mean_ber(result.loads, np.nan_to_num(result.per_ber))
+            bits = np.array([c.bits_per_symbol for c in result.loads])
+            active = bits > 0
+            recomputed = (bits[active] * result.per_ber[active]).sum() / bits[active].sum()
             assert recomputed == pytest.approx(result.mean_ber)
         else:
             assert result.throughput_bits == 0

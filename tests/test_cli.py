@@ -6,16 +6,24 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ofdm_bitload import SystemConfig, dump_config, updated
+from ofdm_bitload import SystemConfig, calibrated_profile, dump_config, updated
 from ofdm_bitload.config import config_as_dict
 from ofdm_bitload.cli import main
 from ofdm_bitload.experiments import CSV_HEADER
+from ofdm_bitload.interference import profile_csv
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse standard JSON only: NaN, Infinity and -Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestAllocate:
@@ -107,6 +115,7 @@ class TestProfileDump:
         out_csv = tmp_path / "prof.csv"
         code, out, _ = run_cli(capsys, "--output", str(out_csv), "profile-dump")
         assert code == 0
+        assert out_csv.read_text() == profile_csv(calibrated_profile(SystemConfig()))
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0] == "k,variance_analytic"
         assert len(lines) == 129
@@ -132,6 +141,9 @@ class TestProfileDump:
                                  f"--fn={fn}")
             assert code == 0
             texts.append(out_csv.read_text())
+            # F_n acts mod 1, and so does the offset the sidecar reports
+            sidecar = strict_json((tmp_path / f"prof{fn}.json").read_text())
+            assert sidecar["config"]["derived.carrier_offset_hz"] == 0.0
         rows = [row.split(",") for row in texts[1].strip().split("\n")[1:]]
         assert all(math.isfinite(float(v)) for _, v in rows)
         assert texts[1] == texts[0]
@@ -209,6 +221,18 @@ class TestConfigHandling:
         assert code == 3
         assert out == ""
         assert "link.sir_db" in err
+
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e300"])
+    def test_extreme_interferer_bandwidth_exit_code(self, capsys, tmp_path, bandwidth):
+        # validate passes both; the profile built from them is not finite
+        path = tmp_path / "bw.cfg"
+        path.write_text(f"nb.bandwidth_hz = {bandwidth}\n")
+        code, out, err = run_cli(capsys, "--config", str(path),
+                                 "--output", str(tmp_path / "prof.csv"), "profile-dump")
+        assert code == 3
+        assert out == ""
+        assert "nb.bandwidth_hz" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bw.cfg"]
 
     def test_missing_config_file_is_generic_error(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "allocate")
@@ -309,6 +333,8 @@ def test_hostile_flags_exit_cleanly(capsys, tmp_path, argv):
             assert out_csv.is_file()
         else:
             json.loads(out)
+    for sidecar in tmp_path.glob("*.json"):
+        strict_json(sidecar.read_text())
 
 
 def _distribution_missing(name: str) -> bool:

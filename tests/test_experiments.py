@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from ofdm_bitload import (AllocationStatus, DomainError, InterferenceProfile,
                           SweepKind, SweepSpec, SystemConfig, calibrated_profile,
                           run_sweep, run_trial, updated, validate)
+from ofdm_bitload.config import config_as_dict
+from ofdm_bitload.cli import main
 from ofdm_bitload.experiments import (CSV_HEADER, _chunk_stats, point_seed, sweep_csv,
-                                      trial_stream, write_sweep_csv,
-                                      write_sweep_json)
+                                      trial_stream)
 
 
 @pytest.fixture(scope="module")
@@ -176,12 +178,12 @@ class TestRunSweep:
 
 
 class TestOutputs:
-    def test_csv_round_trip(self, base_cfg, tmp_path):
+    """The CSV text, and the files the CLI writes from it."""
+
+    def test_csv_round_trip(self, base_cfg):
         spec = SweepSpec(SweepKind.SNR, (10.0, 20.0), 10, 3)
         records = run_sweep(spec, base_cfg)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(records, path)
-        lines = path.read_text().strip().split("\n")
+        lines = sweep_csv(records).strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
         x, avg, stderr, stopped, trials, seed = lines[1].split(",")
@@ -191,20 +193,20 @@ class TestOutputs:
         assert int(trials) == 10
         assert int(seed) == records[0].seed
 
-    def test_json_sidecar(self, base_cfg, tmp_path):
-        spec = SweepSpec(SweepKind.SNR, (10.0,), 5, 3, fixed={"link.sir_db": 10.0})
-        records = run_sweep(spec, base_cfg)
-        path = tmp_path / "sweep.json"
-        write_sweep_json(records, spec, base_cfg, path)
-        payload = json.loads(path.read_text())
-        assert payload["sweep"]["kind"] == "snr"
-        assert payload["sweep"]["base_seed"] == 3
-        assert payload["config"]["link.sir_db"] == 10.0
-        assert payload["records"][0]["trials"] == 5
-        assert payload["records"][0]["avg_throughput_bits"] \
-            == records[0].avg_throughput_bits
+    def test_json_sidecar(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["--trials", "5", "--seed", "3", "--workers", "1", "--output", str(out),
+                     "sweep-snr", "--grid", "10", "--sir-db", "10"]) == 0
+        cfg = updated(base_cfg, {"link.sir_db": 10.0})
+        records = run_sweep(SweepSpec(SweepKind.SNR, (10.0,), 5, 3), cfg)
+        assert out.read_text() == sweep_csv(records)
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert payload["sweep"] == {"kind": "snr", "grid": [10.0], "trials": 5,
+                                    "base_seed": 3, "fixed": {}}
+        assert payload["config"] == config_as_dict(cfg)
+        assert payload["records"] == [dataclasses.asdict(r) for r in records]
 
-    def test_atomic_write_leaves_no_temp_files(self, base_cfg, tmp_path):
-        spec = SweepSpec(SweepKind.SNR, (20.0,), 5, 0)
-        write_sweep_csv(run_sweep(spec, base_cfg), tmp_path / "out.csv")
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    def test_atomic_write_leaves_no_temp_files(self, tmp_path, capsys):
+        assert main(["--trials", "5", "--workers", "1", "--output", str(tmp_path / "out.csv"),
+                     "sweep-snr", "--grid", "20"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]

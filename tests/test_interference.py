@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +6,7 @@ from ofdm_bitload import (DomainError, InterferenceProfile, RrcPulse, SystemConf
                           analytic_variance, calibrated_profile, mc_variance,
                           mc_variance_and_power, updated, validate)
 from ofdm_bitload import interference
-from ofdm_bitload.interference import dump_profile_csv, synthesize_nb_blocks
+from ofdm_bitload.interference import profile_csv, synthesize_nb_blocks
 
 
 @pytest.fixture(scope="module")
@@ -293,12 +291,18 @@ class TestCalibration:
         with pytest.raises(DomainError, match="link.sir_db"):
             calibrated_profile(cfg)
 
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e300])
+    def test_extreme_interferer_bandwidth_rejected(self, base_cfg, bandwidth):
+        # validate passes: the pulse spans infinitely many samples at 1e-300 Hz,
+        # and at 1e300 Hz the profile overflows (it was NaN after calibration)
+        cfg = validate(updated(base_cfg, {"nb.bandwidth_hz": bandwidth}))
+        with pytest.raises(DomainError, match="nb.bandwidth_hz"):
+            calibrated_profile(cfg)
+
 
 class TestProfileUtilities:
     def test_csv_single(self, unit_profile):
-        buf = io.StringIO()
-        dump_profile_csv(buf, unit_profile)
-        lines = buf.getvalue().strip().split("\n")
+        lines = profile_csv(unit_profile).strip().split("\n")
         assert lines[0] == "k,variance_analytic"
         assert len(lines) == 1 + unit_profile.variances.size
         k, v = lines[5].split(",")
@@ -307,6 +311,9 @@ class TestProfileUtilities:
 
     def test_csv_paired(self, base_cfg, unit_profile):
         mc = mc_variance(base_cfg, 1.0, 16, np.random.default_rng(0))
-        buf = io.StringIO()
-        dump_profile_csv(buf, unit_profile, mc)
-        assert buf.getvalue().splitlines()[0] == "k,variance_analytic,variance_mc"
+        lines = profile_csv(unit_profile, mc).splitlines()
+        assert lines[0] == "k,variance_analytic,variance_mc"
+        assert len(lines) == 1 + unit_profile.variances.size
+        k, va, vm = lines[7].split(",")
+        assert (int(k), float(va), float(vm)) \
+            == (6, unit_profile.variances[6], mc.variances[6])

@@ -61,6 +61,20 @@ def test_script_stops_at_a_failed_sweep(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("output", [["--output", "mine.csv"], ["--output=mine.csv"],
+                                    ["--out", "mine.csv"]])
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_output_flag_is_usage_error(monkeypatch, tmp_path, capsys, name, output):
+    # the script names its own files, so a given --output could only be ignored
+    monkeypatch.chdir(tmp_path)
+    assert _load(name).main(["--trials", "2", *output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {name}.py")
+    assert "--output is not accepted" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_help_shows_the_script_and_the_cli_flags(monkeypatch, tmp_path, capsys, name):
     monkeypatch.chdir(tmp_path)
