@@ -8,31 +8,15 @@ sigma_h_sweep_<sigma_h^2>.csv plus its JSON sidecar. Takes the CLI's global
 flags (default 2000 trials, 1 worker).
 """
 
-import sys
-
-from ofdm_bitload import cli
+from _curves import run_curves
 
 SIGMA_H2 = (0.0, 0.001, 0.01, 0.1)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if {"-h", "--help"} & set(argv):
-        print(__doc__)
-        return cli.main(["--help"])
-    # the script names its own files; argparse also reads an abbreviation such as --out
-    if any(len(a) > 2 and "--output".startswith(a.split("=")[0]) for a in argv):
-        print("usage: run_sigma_h_sweep.py [ofdm-bitload global flags other than --output]\n"
-              "run_sigma_h_sweep.py: error: --output is not accepted; the script names its own "
-              "files", file=sys.stderr)
-        return 2
-    for sigma_h2 in SIGMA_H2:
-        code = cli.main(["--trials", "2000", "--workers", "1", *argv,
-                         "--output", f"sigma_h_sweep_{sigma_h2:g}.csv",
-                         "sweep-snr", "--sigma-h2", repr(sigma_h2)])
-        if code:
-            return code
-    return 0
+    return run_curves("run_sigma_h_sweep.py", __doc__,
+                      {f"sigma_h_sweep_{v:g}.csv": ["sweep-snr", "--sigma-h2", repr(v)]
+                       for v in SIGMA_H2}, argv)
 
 
 if __name__ == "__main__":

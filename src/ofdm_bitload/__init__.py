@@ -14,8 +14,7 @@ from .config import (ChannelConfig, LinkConfig, NbConfig, OfdmConfig, SystemConf
 from .errors import DomainError
 from .experiments import SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial
 from .interference import (InterferenceProfile, RrcPulse, analytic_variance,
-                           calibrated_profile, mc_variance, mc_variance_and_power,
-                           synthesize_nb_blocks)
+                           calibrated_profile, mc_variance, synthesize_nb_blocks)
 from .link import Constellation, ber, q_function, sinr
 from .verifier import (EmpiricalBer, gaussian_premise_report, measure_allocation_ber,
                        measure_ber)

@@ -20,7 +20,9 @@ N-point FFT. Two independent routes compute the variance of FFT bin k:
   Nothing is random, so the profile depends on the configuration alone.
 * ``mc_variance`` synthesizes the interferer time series with random QPSK
   symbols and random delays, pushes it through the receiver FFT, and
-  averages ``|Z_k|^2``.
+  averages ``|Z_k|^2``. ``_nb_spectra`` is the one route from synthesis to
+  FFT bins; the verifier's Gaussian-premise report draws its interferer
+  through it too.
 
 Both are linear in the interferer symbol power, which ``calibrated_profile``
 exploits to hit a requested post-FFT signal-to-interference ratio.
@@ -57,12 +59,10 @@ class RrcPulse:
         out = np.zeros(t.shape)
         mask = np.abs(t) <= self.span_symbols * big_t
         x = t[mask] / big_t
+        at_zero = np.abs(x) < 1e-10
         if a > 0:
-            at_zero = np.abs(x) < 1e-10
+            # built before num and den: its temporaries would otherwise raise the peak
             at_sing = np.abs(np.abs(x) - 1.0 / (4.0 * a)) < 1e-10
-        else:
-            at_zero = np.abs(x) < 1e-10
-            at_sing = np.zeros(x.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             num = np.sin(np.pi * x * (1.0 - a)) + 4.0 * a * x * np.cos(np.pi * x * (1.0 + a))
             den = np.pi * x * (1.0 - (4.0 * a * x) ** 2)
@@ -92,6 +92,10 @@ class InterferenceProfile:
 # 2e-6 of the profile peak over pulse spans of 2-11 symbols, roll-offs
 # 0.1-0.9 and interferer bandwidths 5-60 kHz (below 1e-12 at the defaults).
 _OVERSAMPLE = 8
+# Most pulse samples per half-span in the sums for r_p; memory grows with it.
+# At the defaults this admits nb.bandwidth_hz down to about 52 Hz, where one
+# calibrated_profile peaks at 291 MiB RSS (numpy 2.4, from 54 MiB after import).
+_MAX_PULSE_SAMPLES = 2 ** 22
 
 
 def _pulse_autocorrelation(pulse: RrcPulse, lag_s: float, num_lags: int) -> np.ndarray:
@@ -108,9 +112,10 @@ def _pulse_autocorrelation(pulse: RrcPulse, lag_s: float, num_lags: int) -> np.n
     h = lag_s / _OVERSAMPLE
     edge = pulse.span_symbols * pulse.symbol_period_s
     edge_samples = edge / h
-    if not np.isfinite(edge_samples):
-        raise DomainError(f"nb.bandwidth_hz: the {edge!r} s pulse is not a finite "
-                          f"number of {h!r} s samples")
+    if not 1 <= edge_samples <= _MAX_PULSE_SAMPLES:
+        raise DomainError(f"nb.bandwidth_hz and ofdm.bandwidth_hz: the pulse's half-span "
+                          f"of {edge!r} s is {edge_samples!r} samples of {h!r} s, "
+                          f"outside [1, {_MAX_PULSE_SAMPLES}]")
     m = int(np.floor(edge_samples))
     # p is even; mirroring the half t >= 0 halves eval's temporaries
     half = pulse.eval(np.arange(m + 1) * h)
@@ -148,7 +153,7 @@ def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile
 # Blocks whose pulse lattice (blocks x interferer symbols x N samples) is
 # held at once. Only memory depends on it: every random value is drawn first.
 _SYNTH_BLOCKS = 256
-# Blocks per synthesize_nb_blocks call in mc_variance. Each call draws its own
+# Blocks per synthesize_nb_blocks call in _nb_spectra. Each call draws its own
 # delays and symbols, so this fixes how the rng stream maps to blocks.
 _MC_BLOCKS = 2000
 
@@ -183,35 +188,30 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     return out
 
 
+def _nb_spectra(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
+                rng: np.random.Generator):
+    """1/sqrt(N)-normalized FFTs of num_blocks interferer blocks, _MC_BLOCKS at a time.
+
+    The one route from synthesized samples to FFT bins. Each chunk is drawn
+    only when the consumer asks for it, so draws the consumer makes between
+    chunks keep their place in the rng stream.
+    """
+    n_sc = cfg.ofdm.num_subcarriers
+    for start in range(0, num_blocks, _MC_BLOCKS):
+        blocks = min(_MC_BLOCKS, num_blocks - start)
+        yield np.fft.fft(synthesize_nb_blocks(cfg, sigma_b2, blocks, rng),
+                         axis=1) / np.sqrt(n_sc)
+
+
 def mc_variance(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
                 rng: np.random.Generator) -> InterferenceProfile:
-    profile, _power = mc_variance_and_power(cfg, sigma_b2, num_symbols, rng)
-    return profile
-
-
-def mc_variance_and_power(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
-                          rng: np.random.Generator) -> tuple[InterferenceProfile, float]:
-    """Monte Carlo profile plus the mean per-sample interferer power.
-
-    The power is measured directly on the synthesized time samples, giving an
-    independent handle on the FFT-domain total (Parseval under the 1/sqrt(N)
-    convention).
-    """
+    """Monte Carlo profile: mean |Z_k|^2 over num_symbols synthesized blocks."""
     if num_symbols < 1:
         raise DomainError("num_symbols must be >= 1")
-    n_sc = cfg.ofdm.num_subcarriers
-    acc = np.zeros(n_sc)
-    power = 0.0
-    done = 0
-    while done < num_symbols:
-        blocks = min(_MC_BLOCKS, num_symbols - done)
-        samples = synthesize_nb_blocks(cfg, sigma_b2, blocks, rng)
-        spectra = np.fft.fft(samples, axis=1) / np.sqrt(n_sc)
+    acc = np.zeros(cfg.ofdm.num_subcarriers)
+    for spectra in _nb_spectra(cfg, sigma_b2, num_symbols, rng):
         acc += (np.abs(spectra) ** 2).sum(axis=0)
-        power += float((np.abs(samples) ** 2).sum())
-        done += blocks
-    profile = InterferenceProfile(variances=acc / num_symbols, symbol_power=sigma_b2)
-    return profile, power / (num_symbols * n_sc)
+    return InterferenceProfile(variances=acc / num_symbols, symbol_power=sigma_b2)
 
 
 def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:

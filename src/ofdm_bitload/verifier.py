@@ -19,7 +19,9 @@ gives (levels per axis, amplitude step, axes):
 ``measure_ber`` and ``measure_allocation_ber`` send unit-power symbols
 through complex Gaussian noise of power ``1 / (cp_loss * sinr)``.
 ``gaussian_premise_report`` sends them at the configured symbol power through
-the zero-forced impairment of a synthesized interferer plus AWGN.
+the zero-forced impairment of a synthesized interferer plus AWGN; the
+interferer's FFT bins come from ``interference``'s one Monte Carlo route, in
+the chunks ``mc_variance`` uses.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .allocator import AllocationResult, AllocationStatus
 from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import DomainError
-from .interference import InterferenceProfile, synthesize_nb_blocks
+from .interference import InterferenceProfile, _nb_spectra
 from .link import Constellation, ber
 
 _MAX_CHUNK = 1 << 21
@@ -142,16 +144,12 @@ def gaussian_premise_report(cfg: SystemConfig, realization: ChannelRealization,
                        cfg.link.est_error_var, profile.variances)
     gaussian = measure_allocation_ber(gammas, result.loads, cp, num_ofdm_symbols, rng)
 
-    n_sc = cfg.ofdm.num_subcarriers
     # AWGN part only; interference enters as synthesized FFT-output samples.
     base_var = (cfg.link.noise_variance + cfg.link.est_error_var) / cp
     total_bits = 0
     total_errors = 0
-    done = 0
-    while done < num_ofdm_symbols:
-        blocks = min(4096, num_ofdm_symbols - done)
-        nb = np.fft.fft(synthesize_nb_blocks(cfg, profile.symbol_power, blocks, rng),
-                        axis=1) / np.sqrt(n_sc)
+    for nb in _nb_spectra(cfg, profile.symbol_power, num_ofdm_symbols, rng):
+        blocks = nb.shape[0]
         for k, load in enumerate(result.loads):
             if load is Constellation.NULL:
                 continue
@@ -165,7 +163,6 @@ def gaussian_premise_report(cfg: SystemConfig, realization: ChannelRealization,
                 tx = rng.integers(0, levels, blocks)
                 total_errors += _pam_errors(levels, step, tx, axis_noise)
             total_bits += blocks * load.bits_per_symbol
-        done += blocks
     synthesized = total_errors / total_bits
     return {"gaussian_mean_ber": gaussian, "synthesized_mean_ber": synthesized,
             "abs_difference": abs(gaussian - synthesized)}

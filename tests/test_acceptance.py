@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erfc
 
 from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
@@ -16,7 +17,6 @@ from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
                           draw_realization, mc_variance, measure_ber, run_sweep,
                           updated, validate)
 from ofdm_bitload.experiments import run_trial, sweep_csv
-from ofdm_bitload.interference import mc_variance_and_power
 from ofdm_bitload.link import ACTIVE_LADDER
 
 BASE = validate(SystemConfig())
@@ -113,12 +113,37 @@ def test_criterion_02_interference_oracle_equivalence():
     assert time.monotonic() - start < 60.0
 
 
+def _truncated_rrc_energy(rolloff, span):
+    """Energy of the unit-energy RRC pulse kept to +-span symbols, by quadrature.
+
+    Time is in symbol periods, one quadrature per period. The formula is 0/0
+    at 0, an interval end that quad never evaluates, and at 1/(4 rolloff),
+    which is 5/7 at BASE's 0.35 and so no node of the bisected intervals.
+    """
+    a = rolloff
+
+    def p(x):
+        return (np.sin(np.pi * x * (1.0 - a)) + 4.0 * a * x * np.cos(np.pi * x * (1.0 + a))) \
+            / (np.pi * x * (1.0 - (4.0 * a * x) ** 2))
+
+    half = sum(quad(lambda x: p(x) ** 2, k, k + 1, epsabs=1e-14, limit=200)[0]
+               for k in range(span))
+    return 2.0 * half
+
+
 def test_criterion_03_parseval_power_identity():
+    """The MC bins sum to N sigma_b^2 / T times the truncated pulse energy.
+
+    Under the 1/sqrt(N) FFT the bins sum to N times the mean sample power
+    (Parseval), which is sigma_b^2 / T r_p(0) for the delay-averaged
+    interferer; r_p(0) is the energy of the pulse cut to its span.
+    """
     start = time.monotonic()
-    profile, mean_power = mc_variance_and_power(
-        BASE, 1.0, 5000, np.random.default_rng(SEED))
-    total = profile.variances.sum()
-    assert total == pytest.approx(BASE.ofdm.num_subcarriers * mean_power, rel=0.02)
+    sigma_b2 = 1.0
+    profile = mc_variance(BASE, sigma_b2, 5000, np.random.default_rng(SEED))
+    energy = _truncated_rrc_energy(BASE.nb.rolloff, BASE.nb.pulse_span_symbols)
+    want = BASE.ofdm.num_subcarriers * sigma_b2 / BASE.nb.symbol_period_s * energy
+    assert profile.variances.sum() == pytest.approx(want, rel=0.02)
     assert time.monotonic() - start < 30.0
 
 

@@ -222,16 +222,19 @@ class TestConfigHandling:
         assert out == ""
         assert "link.sir_db" in err
 
-    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e300"])
-    def test_extreme_interferer_bandwidth_exit_code(self, capsys, tmp_path, bandwidth):
-        # validate passes both; the profile built from them is not finite
+    @pytest.mark.parametrize("key,bandwidth", [
+        ("nb.bandwidth_hz", "1e-300"), ("nb.bandwidth_hz", "1e300"),
+        ("nb.bandwidth_hz", "10"), ("ofdm.bandwidth_hz", "1e300")],
+        ids=["1e-300", "1e300", "10", "ofdm-1e300"])
+    def test_extreme_interferer_bandwidth_exit_code(self, capsys, tmp_path, key, bandwidth):
+        # validate passes all four; the pulse spans too few or too many samples
         path = tmp_path / "bw.cfg"
-        path.write_text(f"nb.bandwidth_hz = {bandwidth}\n")
+        path.write_text(f"{key} = {bandwidth}\n")
         code, out, err = run_cli(capsys, "--config", str(path),
                                  "--output", str(tmp_path / "prof.csv"), "profile-dump")
         assert code == 3
         assert out == ""
-        assert "nb.bandwidth_hz" in err
+        assert "nb.bandwidth_hz and ofdm.bandwidth_hz" in err
         assert [p.name for p in tmp_path.iterdir()] == ["bw.cfg"]
 
     def test_missing_config_file_is_generic_error(self, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ofdm_bitload import (DomainError, InterferenceProfile, RrcPulse, SystemConfig,
                           analytic_variance, calibrated_profile, mc_variance,
-                          mc_variance_and_power, updated, validate)
+                          updated, validate)
 from ofdm_bitload import interference
 from ofdm_bitload.interference import profile_csv, synthesize_nb_blocks
 
@@ -230,10 +230,16 @@ class TestMonteCarlo:
 
     def test_parseval_total(self, base_cfg):
         # under the 1/sqrt(N) FFT the summed bin variances equal N times the
-        # mean per-sample power of the synthesized interferer
-        prof, mean_power = mc_variance_and_power(
-            base_cfg, 1.0, 3000, np.random.default_rng(21))
+        # mean per-sample power of the synthesized interferer; the samples are
+        # drawn here in mc_variance's chunks, so they are the ones it transforms
+        prof = mc_variance(base_cfg, 1.0, 3000, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        chunk = interference._MC_BLOCKS
+        samples = np.concatenate([
+            synthesize_nb_blocks(base_cfg, 1.0, min(chunk, 3000 - start), rng)
+            for start in range(0, 3000, chunk)])
         n = base_cfg.ofdm.num_subcarriers
+        mean_power = np.mean(np.abs(samples) ** 2)
         assert prof.variances.sum() == pytest.approx(n * mean_power, rel=1e-10)
 
     def test_matches_analytic_small_run(self, base_cfg, unit_profile):
@@ -291,12 +297,17 @@ class TestCalibration:
         with pytest.raises(DomainError, match="link.sir_db"):
             calibrated_profile(cfg)
 
-    @pytest.mark.parametrize("bandwidth", [1e-300, 1e300])
-    def test_extreme_interferer_bandwidth_rejected(self, base_cfg, bandwidth):
-        # validate passes: the pulse spans infinitely many samples at 1e-300 Hz,
-        # and at 1e300 Hz the profile overflows (it was NaN after calibration)
-        cfg = validate(updated(base_cfg, {"nb.bandwidth_hz": bandwidth}))
-        with pytest.raises(DomainError, match="nb.bandwidth_hz"):
+    @pytest.mark.parametrize("key,bandwidth", [
+        ("nb.bandwidth_hz", 1e-300), ("nb.bandwidth_hz", 1e300),
+        ("nb.bandwidth_hz", 10.0), ("ofdm.bandwidth_hz", 1e300)],
+        ids=["1e-300", "1e+300", "10.0", "ofdm-1e+300"])
+    def test_extreme_interferer_bandwidth_rejected(self, base_cfg, key, bandwidth):
+        # validate passes all four; the pulse's half-span is then below one
+        # sample (1e300 Hz interferer) or above the bound on the samples summed
+        # for r_p: infinitely many at 1e-300 Hz, 2.2e7 at 10 Hz, 1e298 at a
+        # 1e300 Hz OFDM band
+        cfg = validate(updated(base_cfg, {key: bandwidth}))
+        with pytest.raises(DomainError, match="nb.bandwidth_hz and ofdm.bandwidth_hz"):
             calibrated_profile(cfg)
 
 

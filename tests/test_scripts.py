@@ -31,6 +31,13 @@ EXPECTED = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _scripts_on_path(monkeypatch):
+    # a script imports its shared _curves module from its own directory,
+    # which python puts first on sys.path when it runs the script
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -79,9 +86,11 @@ def test_output_flag_is_usage_error(monkeypatch, tmp_path, capsys, name, output)
 def test_help_shows_the_script_and_the_cli_flags(monkeypatch, tmp_path, capsys, name):
     monkeypatch.chdir(tmp_path)
     module = _load(name)
-    assert module.main(["--help"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(module.__doc__)
-    assert out.count("usage: ofdm-bitload") == 1
-    assert "--trials TRIALS" in out
-    assert list(tmp_path.iterdir()) == []
+    # argparse takes --he for --help, so the script must too
+    for flag in ("--help", "--he"):
+        assert module.main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(module.__doc__)
+        assert out.count("usage: ofdm-bitload") == 1
+        assert "--trials TRIALS" in out
+        assert list(tmp_path.iterdir()) == []
