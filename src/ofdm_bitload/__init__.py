@@ -8,15 +8,14 @@ sweep experiments, and a symbol-level verification oracle.
 """
 
 from .allocator import AllocationResult, AllocationStatus, allocate
-from .channel import ChannelRealization, draw_realization, pdp_constant
+from .channel import ChannelRealization, draw_realization
 from .config import (ChannelConfig, LinkConfig, NbConfig, OfdmConfig, SystemConfig,
-                     dump_config, load_config, parse_config, updated, validate)
+                     load_config, updated, validate)
 from .errors import DomainError
 from .experiments import SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial
-from .interference import (InterferenceProfile, RrcPulse, analytic_variance,
-                           calibrated_profile, mc_variance, synthesize_nb_blocks)
-from .link import Constellation, ber, q_function, sinr
-from .verifier import (EmpiricalBer, gaussian_premise_report, measure_allocation_ber,
-                       measure_ber)
+from .interference import (InterferenceProfile, analytic_variance, calibrated_profile,
+                           mc_variance, synthesize_nb_blocks)
+from .link import Constellation, ber, sinr
+from .verifier import gaussian_premise_report, measure_allocation_ber, measure_ber
 
 __version__ = "0.1.0"

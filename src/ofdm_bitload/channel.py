@@ -1,7 +1,7 @@
 """Frequency-selective Rayleigh channel with an exponential power delay profile.
 
-Tap n has power ``pdp_constant * exp(-n * decay_factor)``; the constant is
-chosen so the mean per-subcarrier gain is unity. The frequency response is the
+Tap n has power proportional to ``exp(-n * decay_factor)``, normalized so the
+mean per-subcarrier gain is unity. The frequency response is the
 unnormalized N-point DFT of the zero-padded taps, which makes unit total tap
 energy map to unit average subcarrier gain.
 """
@@ -17,27 +17,21 @@ from .config import ChannelConfig, OfdmConfig
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    taps: np.ndarray           # complex, length num_taps
     freq_response: np.ndarray  # complex, length num_subcarriers
     gains_sq: np.ndarray       # |freq_response|**2
 
 
-def pdp_constant(channel_cfg: ChannelConfig) -> float:
-    """Normalizing tap power so that E{|H_k|^2} = 1 for every subcarrier."""
-    n = np.arange(channel_cfg.num_taps)
-    return float(1.0 / np.exp(-n * channel_cfg.decay_factor).sum())
-
-
 def tap_variances(channel_cfg: ChannelConfig) -> np.ndarray:
-    n = np.arange(channel_cfg.num_taps)
-    return pdp_constant(channel_cfg) * np.exp(-n * channel_cfg.decay_factor)
+    """Tap powers summing to 1, so that E{|H_k|^2} = 1 for every subcarrier."""
+    powers = np.exp(-np.arange(channel_cfg.num_taps) * channel_cfg.decay_factor)
+    return (1.0 / powers.sum()) * powers
 
 
 def draw_realization(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
                      rng: np.random.Generator) -> ChannelRealization:
     """One circularly-symmetric complex Gaussian tap draw and its DFT."""
     one = _draw_stacked(channel_cfg, ofdm_cfg, [rng])
-    return ChannelRealization(one.taps[0], one.freq_response[0], one.gains_sq[0])
+    return ChannelRealization(one.freq_response[0], one.gains_sq[0])
 
 
 def _draw_stacked(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
@@ -48,4 +42,4 @@ def _draw_stacked(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
     taps = std * np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n)
                            for rng in rngs])
     freq = np.fft.fft(taps, ofdm_cfg.num_subcarriers, axis=1)
-    return ChannelRealization(taps=taps, freq_response=freq, gains_sq=np.abs(freq) ** 2)
+    return ChannelRealization(freq_response=freq, gains_sq=np.abs(freq) ** 2)

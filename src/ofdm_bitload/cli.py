@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, kind in (("sweep-fn", SweepKind.FN), ("sweep-snr", SweepKind.SNR),
                        ("sweep-sigma-h", SweepKind.SIGMA_H)):
         p = sub.add_parser(name, help=f"average-throughput sweep over {kind.value}")
-        p.set_defaults(kind=kind)
+        p.set_defaults(kind=kind, run=_cmd_sweep)
         p.add_argument("--grid", type=grid, default=None,
                        help="comma-separated grid values (default: built-in grid)")
         # the swept key comes from the grid, so its own flag is not accepted
@@ -77,14 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        if key != experiments._GRID_KEY[kind]])
 
     p = sub.add_parser("allocate", help="one-shot allocation for a single channel draw")
+    p.set_defaults(run=_cmd_allocate)
     link_flags(p, _LINK_FLAGS)
 
     p = sub.add_parser("profile-dump", help="per-subcarrier interference variance CSV")
+    p.set_defaults(run=_cmd_profile_dump)
     link_flags(p, ["--fn", "--sir-db"])
     p.add_argument("--mc-symbols", type=at_least(0), default=0,
                    help="also compute the Monte Carlo profile over this many symbols")
 
     p = sub.add_parser("verify", help="symbol-level re-measurement of one allocation")
+    p.set_defaults(run=_cmd_verify)
     link_flags(p, _LINK_FLAGS)
     p.add_argument("--symbols", type=at_least(1), default=100_000,
                    help="OFDM symbols to transmit per subcarrier")
@@ -197,14 +200,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_base_config(args)
-        if args.command in ("sweep-fn", "sweep-snr", "sweep-sigma-h"):
-            return _cmd_sweep(args, cfg)
-        if args.command == "allocate":
-            return _cmd_allocate(args, cfg)
-        if args.command == "profile-dump":
-            return _cmd_profile_dump(args, cfg)
-        return _cmd_verify(args, cfg)
+        return args.run(args, _load_base_config(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -124,6 +124,7 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     _check(isinstance(n.pulse_span_symbols, int) and n.pulse_span_symbols >= 1,
            "nb.pulse_span_symbols positive integer")
     _check(isinstance(c.num_taps, int) and c.num_taps >= 1, "channel.num_taps >= 1")
+    _check(c.num_taps <= o.num_subcarriers, "channel.num_taps <= ofdm.num_subcarriers")
     _check(c.decay_factor > 0, "channel.decay_factor > 0")
     _check(l.est_error_var >= 0, "link.est_error_var >= 0")
     _check(0.0 < l.target_ber < 0.5, "link.target_ber in (0, 0.5)")
@@ -180,14 +181,6 @@ def parse_config(text: str) -> SystemConfig:
 def load_config(path) -> SystemConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def dump_config(cfg: SystemConfig) -> str:
-    """Serialize to the flat key-value format (round-trips through parse_config)."""
-    lines = []
-    for key, (section, field, _typ) in _KEY_MAP.items():
-        lines.append(f"{key} = {getattr(getattr(cfg, section), field)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def config_as_dict(cfg: SystemConfig) -> dict:

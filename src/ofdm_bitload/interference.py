@@ -30,7 +30,7 @@ exploits to hit a requested post-FFT signal-to-interference ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,53 +38,35 @@ from .config import NbConfig, SystemConfig
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class RrcPulse:
-    """Unit-energy root-raised-cosine pulse, truncated to +-span symbols."""
-
-    rolloff: float
-    symbol_period_s: float
-    span_symbols: int
-
-    @classmethod
-    def from_config(cls, nb: NbConfig) -> "RrcPulse":
-        return cls(rolloff=nb.rolloff, symbol_period_s=nb.symbol_period_s,
-                   span_symbols=nb.pulse_span_symbols)
-
-    def eval(self, t):
-        """Pulse amplitude at time t (seconds); scalar or array."""
-        t = np.asarray(t, dtype=float)
-        big_t = self.symbol_period_s
-        a = self.rolloff
-        out = np.zeros(t.shape)
-        mask = np.abs(t) <= self.span_symbols * big_t
-        x = t[mask] / big_t
-        at_zero = np.abs(x) < 1e-10
-        if a > 0:
-            # built before num and den: its temporaries would otherwise raise the peak
-            at_sing = np.abs(np.abs(x) - 1.0 / (4.0 * a)) < 1e-10
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.sin(np.pi * x * (1.0 - a)) + 4.0 * a * x * np.cos(np.pi * x * (1.0 + a))
-            den = np.pi * x * (1.0 - (4.0 * a * x) ** 2)
-            v = num / den
-        v = np.where(at_zero, 1.0 - a + 4.0 * a / np.pi, v)
-        if a > 0:
-            lim = (a / np.sqrt(2.0)) * ((1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * a))
-                                        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * a)))
-            v = np.where(at_sing, lim, v)
-        out[mask] = v / np.sqrt(big_t)
-        return out if t.ndim else float(out)
+def rrc_pulse(nb: NbConfig, t):
+    """Unit-energy RRC pulse at time t (seconds), truncated to +-span symbols."""
+    t = np.asarray(t, dtype=float)
+    big_t = nb.symbol_period_s
+    a = nb.rolloff
+    out = np.zeros(t.shape)
+    mask = np.abs(t) <= nb.pulse_span_symbols * big_t
+    x = t[mask] / big_t
+    at_zero = np.abs(x) < 1e-10
+    if a > 0:
+        # built before num and den: its temporaries would otherwise raise the peak
+        at_sing = np.abs(np.abs(x) - 1.0 / (4.0 * a)) < 1e-10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = np.sin(np.pi * x * (1.0 - a)) + 4.0 * a * x * np.cos(np.pi * x * (1.0 + a))
+        den = np.pi * x * (1.0 - (4.0 * a * x) ** 2)
+        v = num / den
+    v = np.where(at_zero, 1.0 - a + 4.0 * a / np.pi, v)
+    if a > 0:
+        lim = (a / np.sqrt(2.0)) * ((1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * a))
+                                    + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * a)))
+        v = np.where(at_sing, lim, v)
+    out[mask] = v / np.sqrt(big_t)
+    return out if t.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class InterferenceProfile:
     variances: np.ndarray
     symbol_power: float
-
-    def scaled(self, factor: float) -> "InterferenceProfile":
-        """Exact rescaling by linearity in the interferer symbol power."""
-        return replace(self, variances=self.variances * factor,
-                       symbol_power=self.symbol_power * factor)
 
 
 # Pulse samples per OFDM sample in the sums for r_p. The edge-corrected sums
@@ -98,7 +80,7 @@ _OVERSAMPLE = 8
 _MAX_PULSE_SAMPLES = 2 ** 22
 
 
-def _pulse_autocorrelation(pulse: RrcPulse, lag_s: float, num_lags: int) -> np.ndarray:
+def _pulse_autocorrelation(nb: NbConfig, lag_s: float, num_lags: int) -> np.ndarray:
     """r_p(d * lag_s) = integral of p(t) p(t - d lag_s) dt for d < num_lags.
 
     The pulse is sampled h = lag_s / _OVERSAMPLE apart, so every lag is a whole
@@ -110,21 +92,21 @@ def _pulse_autocorrelation(pulse: RrcPulse, lag_s: float, num_lags: int) -> np.n
     term ``h (1 - 2 phi) p(S) p(S - tau)`` (Euler-Maclaurin) leaves O(h^2).
     """
     h = lag_s / _OVERSAMPLE
-    edge = pulse.span_symbols * pulse.symbol_period_s
+    edge = nb.pulse_span_symbols * nb.symbol_period_s
     edge_samples = edge / h
     if not 1 <= edge_samples <= _MAX_PULSE_SAMPLES:
         raise DomainError(f"nb.bandwidth_hz and ofdm.bandwidth_hz: the pulse's half-span "
                           f"of {edge!r} s is {edge_samples!r} samples of {h!r} s, "
                           f"outside [1, {_MAX_PULSE_SAMPLES}]")
     m = int(np.floor(edge_samples))
-    # p is even; mirroring the half t >= 0 halves eval's temporaries
-    half = pulse.eval(np.arange(m + 1) * h)
+    # p is even; mirroring the half t >= 0 halves rrc_pulse's temporaries
+    half = rrc_pulse(nb, np.arange(m + 1) * h)
     samples = np.concatenate([half[:0:-1], half])
     lags = np.arange(num_lags) * _OVERSAMPLE
     padded = np.concatenate([samples, np.zeros(lags[-1])])
     r = h * np.array([samples @ padded[j:j + samples.size] for j in lags])
     phi = edge_samples - m
-    return r - h * (1.0 - 2.0 * phi) * pulse.eval(edge) * pulse.eval(edge - lags * h)
+    return r - h * (1.0 - 2.0 * phi) * rrc_pulse(nb, edge) * rrc_pulse(nb, edge - lags * h)
 
 
 def _carrier(f_n: float, num_samples: int) -> np.ndarray:
@@ -139,14 +121,13 @@ def _carrier(f_n: float, num_samples: int) -> np.ndarray:
 def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile:
     """Closed-form per-subcarrier interference variance (see module docstring)."""
     n_sc = cfg.ofdm.num_subcarriers
-    pulse = RrcPulse.from_config(cfg.nb)
-    r = _pulse_autocorrelation(pulse, cfg.ofdm.sample_period_s, n_sc)
+    r = _pulse_autocorrelation(cfg.nb, cfg.ofdm.sample_period_s, n_sc)
     d = np.arange(n_sc)
     # the lags -d carry the complex conjugates of the lags +d, so the sum over
     # |d| < N is twice the real part of an FFT over d >= 0, less the d = 0 term
     c = (1.0 - d / n_sc) * r * _carrier(cfg.nb.normalized_freq, n_sc)
     acc = 2.0 * np.fft.fft(c).real - r[0]
-    return InterferenceProfile(variances=sigma_b2 / pulse.symbol_period_s * acc,
+    return InterferenceProfile(variances=sigma_b2 / cfg.nb.symbol_period_s * acc,
                                symbol_power=sigma_b2)
 
 
@@ -168,9 +149,8 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     """
     n_sc = cfg.ofdm.num_subcarriers
     t_s = cfg.ofdm.sample_period_s
-    pulse = RrcPulse.from_config(cfg.nb)
-    big_t = pulse.symbol_period_s
-    span = pulse.span_symbols
+    big_t = cfg.nb.symbol_period_s
+    span = cfg.nb.pulse_span_symbols
     n = np.arange(n_sc)
     phase = _carrier(cfg.nb.normalized_freq, n_sc)
     l_lo = -span - 2
@@ -184,7 +164,7 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     for start in range(0, num_blocks, _SYNTH_BLOCKS):
         part = slice(start, start + _SYNTH_BLOCKS)
         t = -xi[part, None, None] + n[None, None, :] * t_s - ls[None, :, None] * big_t
-        out[part] = np.einsum("bl,bln->bn", symbols[part], pulse.eval(t)) * phase[None, :]
+        out[part] = np.einsum("bl,bln->bn", symbols[part], rrc_pulse(cfg.nb, t)) * phase[None, :]
     return out
 
 
@@ -223,17 +203,20 @@ def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
     sir_db = cfg.link.sir_db
     if not np.isfinite(sir_db):
         raise DomainError("link.sir_db must be finite")
-    unit = analytic_variance(cfg, 1.0)
-    # > 0 always: by Parseval the unit profile sums to N r_p(0) / T
-    total = float(unit.variances.sum())
-    if not np.isfinite(total):
-        raise DomainError(f"nb.bandwidth_hz = {cfg.nb.bandwidth_hz!r}: interference "
-                          f"profile not finite at ofdm.bandwidth_hz = {cfg.ofdm.bandwidth_hz!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            unit = analytic_variance(cfg, 1.0)
+            # > 0 always: by Parseval the unit profile sums to N r_p(0) / T
+            total = float(unit.variances.sum())
+    except FloatingPointError:
+        raise DomainError(f"nb.bandwidth_hz and ofdm.bandwidth_hz: the interference profile "
+                          f"overflows at {cfg.nb.bandwidth_hz!r} and "
+                          f"{cfg.ofdm.bandwidth_hz!r} Hz") from None
     n_sc = cfg.ofdm.num_subcarriers
     sigma_b2 = n_sc * cfg.link.symbol_power * 10.0 ** (-sir_db / 10.0) / total
     if not np.isfinite(sigma_b2):
         raise DomainError(f"link.sir_db = {sir_db!r}: interferer symbol power overflows")
-    return unit.scaled(sigma_b2)
+    return InterferenceProfile(unit.variances * sigma_b2, sigma_b2)
 
 
 def profile_csv(analytic: InterferenceProfile,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofdm_bitload import ChannelConfig, OfdmConfig, draw_realization, pdp_constant
+from ofdm_bitload import ChannelConfig, OfdmConfig, draw_realization
 from ofdm_bitload.channel import tap_variances
 
 
@@ -12,15 +12,15 @@ def _stream(seed):
 
 class TestPdpConstant:
     def test_single_tap_is_unity(self):
-        assert pdp_constant(ChannelConfig(num_taps=1, decay_factor=3.0)) == 1.0
+        assert tap_variances(ChannelConfig(num_taps=1, decay_factor=3.0))[0] == 1.0
 
     def test_five_taps_decay_fifth(self):
         # 1 / sum(exp(-n/5), n=0..4), evaluated independently at high precision
-        got = pdp_constant(ChannelConfig(num_taps=5, decay_factor=0.2))
+        got = tap_variances(ChannelConfig(num_taps=5, decay_factor=0.2))[0]
         assert got == pytest.approx(0.286763726302377, rel=1e-12)
 
     def test_second_tap_vanishes_at_large_decay(self):
-        got = pdp_constant(ChannelConfig(num_taps=2, decay_factor=80.0))
+        got = tap_variances(ChannelConfig(num_taps=2, decay_factor=80.0))[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_total_tap_power_is_one(self):
@@ -33,13 +33,12 @@ class TestDrawRealization:
     def test_deterministic_given_seed(self, cfg):
         a = draw_realization(cfg.channel, cfg.ofdm, _stream(7))
         b = draw_realization(cfg.channel, cfg.ofdm, _stream(7))
-        np.testing.assert_array_equal(a.taps, b.taps)
         np.testing.assert_array_equal(a.freq_response, b.freq_response)
 
     def test_distinct_seeds_differ(self, cfg):
         a = draw_realization(cfg.channel, cfg.ofdm, _stream(1))
         b = draw_realization(cfg.channel, cfg.ofdm, _stream(2))
-        assert not np.array_equal(a.taps, b.taps)
+        assert not np.array_equal(a.freq_response, b.freq_response)
 
     def test_single_tap_is_flat(self, cfg):
         flat = ChannelConfig(num_taps=1, decay_factor=0.2)
@@ -56,8 +55,11 @@ class TestDrawRealization:
         ofdm = OfdmConfig()
         channel = ChannelConfig()
         real = draw_realization(channel, ofdm, _stream(seed))
+        # the response is the DFT of num_taps taps zero-padded to N samples
+        taps = np.fft.ifft(real.freq_response)
+        np.testing.assert_allclose(taps[channel.num_taps:], 0.0, atol=1e-12)
         lhs = real.gains_sq.sum()
-        rhs = ofdm.num_subcarriers * (np.abs(real.taps) ** 2).sum()
+        rhs = ofdm.num_subcarriers * (np.abs(taps) ** 2).sum()
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

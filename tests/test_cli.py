@@ -6,7 +6,7 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ofdm_bitload import SystemConfig, calibrated_profile, dump_config, updated
+from ofdm_bitload import SystemConfig, calibrated_profile
 from ofdm_bitload.config import config_as_dict
 from ofdm_bitload.cli import main
 from ofdm_bitload.experiments import CSV_HEADER
@@ -170,18 +170,16 @@ class TestVerify:
 
 class TestConfigHandling:
     def test_config_file_flag(self, capsys, tmp_path):
-        cfg = updated(SystemConfig(), {"link.sir_db": -20.0})
         path = tmp_path / "low_sir.cfg"
-        path.write_text(dump_config(cfg))
+        path.write_text("link.sir_db = -20.0\n")
         _, out, _ = run_cli(capsys, "--config", str(path), "allocate")
         _, base, _ = run_cli(capsys, "allocate")
         assert json.loads(out)["throughput_bits"] \
             < json.loads(base)["throughput_bits"]
 
     def test_config_env_var(self, capsys, tmp_path, monkeypatch):
-        cfg = updated(SystemConfig(), {"link.sir_db": -20.0})
         path = tmp_path / "env.cfg"
-        path.write_text(dump_config(cfg))
+        path.write_text("link.sir_db = -20.0\n")
         monkeypatch.setenv("OFDM_BITLOAD_CONFIG", str(path))
         _, out_env, _ = run_cli(capsys, "allocate")
         monkeypatch.delenv("OFDM_BITLOAD_CONFIG")
@@ -194,6 +192,14 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "--config", str(path), "allocate")
         assert code == 3
         assert "target_ber" in err
+
+    def test_channel_longer_than_dft_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "long.cfg"
+        path.write_text("channel.num_taps = 256\n")
+        code, out, err = run_cli(capsys, "--config", str(path), "allocate")
+        assert code == 3
+        assert out == ""
+        assert "channel.num_taps <= ofdm.num_subcarriers" in err
 
     def test_non_finite_flag_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "allocate", "--fn", "inf")
@@ -222,14 +228,19 @@ class TestConfigHandling:
         assert out == ""
         assert "link.sir_db" in err
 
-    @pytest.mark.parametrize("key,bandwidth", [
-        ("nb.bandwidth_hz", "1e-300"), ("nb.bandwidth_hz", "1e300"),
-        ("nb.bandwidth_hz", "10"), ("ofdm.bandwidth_hz", "1e300")],
-        ids=["1e-300", "1e300", "10", "ofdm-1e300"])
-    def test_extreme_interferer_bandwidth_exit_code(self, capsys, tmp_path, key, bandwidth):
-        # validate passes all four; the pulse spans too few or too many samples
+    @pytest.mark.parametrize("text", [
+        "nb.bandwidth_hz = 1e-300", "nb.bandwidth_hz = 1e300", "nb.bandwidth_hz = 10",
+        "ofdm.bandwidth_hz = 1e300",
+        "ofdm.bandwidth_hz = 1e308\nnb.bandwidth_hz = 1.2e306",
+        "ofdm.bandwidth_hz = 1e306\nnb.bandwidth_hz = 1e308",
+        "ofdm.bandwidth_hz = 1e307\nnb.bandwidth_hz = 1e308"],
+        ids=["1e-300", "1e300", "10", "ofdm-1e300",
+             "ofdm-1e308-nb-1.2e306", "ofdm-1e306-nb-1e308", "ofdm-1e307-nb-1e308"])
+    def test_extreme_interferer_bandwidth_exit_code(self, capsys, tmp_path, text):
+        # validate passes all seven; the pulse spans too few or too many
+        # samples (the first four), or the profile overflows (the last three)
         path = tmp_path / "bw.cfg"
-        path.write_text(f"{key} = {bandwidth}\n")
+        path.write_text(text + "\n")
         code, out, err = run_cli(capsys, "--config", str(path),
                                  "--output", str(tmp_path / "prof.csv"), "profile-dump")
         assert code == 3

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofdm_bitload import (DomainError, InterferenceProfile, RrcPulse, SystemConfig,
+from ofdm_bitload import (DomainError, InterferenceProfile, NbConfig, SystemConfig,
                           analytic_variance, calibrated_profile, mc_variance,
                           updated, validate)
 from ofdm_bitload import interference
-from ofdm_bitload.interference import profile_csv, synthesize_nb_blocks
+from ofdm_bitload.interference import profile_csv, rrc_pulse, synthesize_nb_blocks
 
 
 @pytest.fixture(scope="module")
@@ -20,64 +20,64 @@ def unit_profile(base_cfg):
 
 
 @pytest.fixture(scope="module")
-def pulse(base_cfg):
-    return RrcPulse.from_config(base_cfg.nb)
+def nb(base_cfg):
+    return base_cfg.nb
 
 
 class TestRrcPulse:
-    def test_zero_beyond_span(self, pulse):
-        edge = pulse.span_symbols * pulse.symbol_period_s
-        assert pulse.eval(edge + 1e-9) == 0.0
-        assert pulse.eval(-edge - 1e-9) == 0.0
-        assert pulse.eval(10 * edge) == 0.0
+    def test_zero_beyond_span(self, nb):
+        edge = nb.pulse_span_symbols * nb.symbol_period_s
+        assert rrc_pulse(nb, edge + 1e-9) == 0.0
+        assert rrc_pulse(nb, -edge - 1e-9) == 0.0
+        assert rrc_pulse(nb, 10 * edge) == 0.0
 
-    def test_even_symmetry(self, pulse):
-        t = np.linspace(0, pulse.span_symbols * pulse.symbol_period_s, 500)
-        np.testing.assert_allclose(pulse.eval(t), pulse.eval(-t))
+    def test_even_symmetry(self, nb):
+        t = np.linspace(0, nb.pulse_span_symbols * nb.symbol_period_s, 500)
+        np.testing.assert_allclose(rrc_pulse(nb, t), rrc_pulse(nb, -t))
 
-    def test_peak_at_origin(self, pulse):
-        t = np.linspace(-3, 3, 2001) * pulse.symbol_period_s
-        assert pulse.eval(0.0) == pytest.approx(pulse.eval(t).max())
-        assert pulse.eval(0.0) == pytest.approx(
-            (1 - pulse.rolloff + 4 * pulse.rolloff / np.pi)
-            / np.sqrt(pulse.symbol_period_s))
+    def test_peak_at_origin(self, nb):
+        t = np.linspace(-3, 3, 2001) * nb.symbol_period_s
+        assert rrc_pulse(nb, 0.0) == pytest.approx(rrc_pulse(nb, t).max())
+        assert rrc_pulse(nb, 0.0) == pytest.approx(
+            (1 - nb.rolloff + 4 * nb.rolloff / np.pi) / np.sqrt(nb.symbol_period_s))
 
-    def test_singularity_points_are_finite_and_continuous(self, pulse):
-        ts = pulse.symbol_period_s / (4 * pulse.rolloff)
-        at = pulse.eval(ts)
+    def test_singularity_points_are_finite_and_continuous(self, nb):
+        ts = nb.symbol_period_s / (4 * nb.rolloff)
+        at = rrc_pulse(nb, ts)
         assert np.isfinite(at)
-        assert at == pytest.approx(pulse.eval(ts * (1 + 1e-7)), rel=1e-4)
+        assert at == pytest.approx(rrc_pulse(nb, ts * (1 + 1e-7)), rel=1e-4)
 
-    def test_unit_energy(self, pulse):
-        big_t = pulse.symbol_period_s
-        t = np.linspace(-pulse.span_symbols * big_t, pulse.span_symbols * big_t,
+    def test_unit_energy(self, nb):
+        big_t = nb.symbol_period_s
+        t = np.linspace(-nb.pulse_span_symbols * big_t, nb.pulse_span_symbols * big_t,
                         200_001)
-        energy = np.trapezoid(pulse.eval(t) ** 2, t)
+        energy = np.trapezoid(rrc_pulse(nb, t) ** 2, t)
         assert energy == pytest.approx(1.0, abs=1e-3)
 
-    def test_nyquist_autocorrelation(self, pulse):
+    def test_nyquist_autocorrelation(self, nb):
         # r(tau) = integral p(t) p(t - tau) dt must be ~1 at tau = 0 and ~0 at
         # nonzero symbol multiples (the matched-filter zero-ISI property)
-        big_t = pulse.symbol_period_s
-        t = np.linspace(-(pulse.span_symbols + 4) * big_t,
-                        (pulse.span_symbols + 4) * big_t, 400_001)
-        p0 = pulse.eval(t)
+        big_t = nb.symbol_period_s
+        t = np.linspace(-(nb.pulse_span_symbols + 4) * big_t,
+                        (nb.pulse_span_symbols + 4) * big_t, 400_001)
+        p0 = rrc_pulse(nb, t)
         for m in range(1, 6):
-            r_m = np.trapezoid(p0 * pulse.eval(t - m * big_t), t)
+            r_m = np.trapezoid(p0 * rrc_pulse(nb, t - m * big_t), t)
             assert abs(r_m) < 2e-3
         assert np.trapezoid(p0 * p0, t) == pytest.approx(1.0, abs=1e-3)
 
     @given(scale=st.floats(0.2, 5.0))
     @settings(max_examples=20, deadline=None)
-    def test_dilation_covariance(self, scale, pulse):
+    def test_dilation_covariance(self, scale, nb):
         # p_T(t) = p_1(t/T)/sqrt(T): stretching the symbol period rescales
         # time and amplitude but changes nothing else
-        other = RrcPulse(rolloff=pulse.rolloff,
-                         symbol_period_s=scale * pulse.symbol_period_s,
-                         span_symbols=pulse.span_symbols)
-        t = np.linspace(-2, 2, 41) * pulse.symbol_period_s
-        np.testing.assert_allclose(other.eval(scale * t),
-                                   pulse.eval(t) / np.sqrt(scale), atol=1e-12)
+        other = NbConfig(bandwidth_hz=nb.bandwidth_hz / scale, rolloff=nb.rolloff,
+                         pulse_span_symbols=nb.pulse_span_symbols)
+        assert other.symbol_period_s == pytest.approx(scale * nb.symbol_period_s,
+                                                      rel=1e-15)
+        t = np.linspace(-2, 2, 41) * nb.symbol_period_s
+        np.testing.assert_allclose(rrc_pulse(other, scale * t),
+                                   rrc_pulse(nb, t) / np.sqrt(scale), atol=1e-12)
 
 
 def symbol_sum_variance(cfg, sigma_b2, num_delays):
@@ -90,9 +90,8 @@ def symbol_sum_variance(cfg, sigma_b2, num_delays):
     """
     n_sc = cfg.ofdm.num_subcarriers
     t_s = cfg.ofdm.sample_period_s
-    pulse = RrcPulse.from_config(cfg.nb)
-    big_t = pulse.symbol_period_s
-    span = pulse.span_symbols
+    big_t = cfg.nb.symbol_period_s
+    span = cfg.nb.pulse_span_symbols
     n = np.arange(n_sc)
     phase = np.exp(2j * np.pi * cfg.nb.normalized_freq * n)
     acc = np.zeros(n_sc)
@@ -101,7 +100,7 @@ def symbol_sum_variance(cfg, sigma_b2, num_delays):
         l_lo = int(np.floor((t0 - span * big_t) / big_t)) - 1
         l_hi = int(np.ceil((t0 + (n_sc - 1) * t_s + span * big_t) / big_t)) + 1
         ls = np.arange(l_lo, l_hi + 1)
-        samples = pulse.eval(t0 + n[None, :] * t_s - ls[:, None] * big_t)
+        samples = rrc_pulse(cfg.nb, t0 + n[None, :] * t_s - ls[:, None] * big_t)
         acc += (np.abs(np.fft.fft(samples * phase[None, :], axis=1)) ** 2).sum(axis=0)
     return acc * sigma_b2 / (n_sc * num_delays)
 
@@ -114,11 +113,6 @@ class TestAnalyticVariance:
     def test_linearity_exact(self, base_cfg, unit_profile):
         b = analytic_variance(base_cfg, 2.5)
         np.testing.assert_allclose(b.variances, 2.5 * unit_profile.variances, rtol=1e-12)
-
-    def test_scaled_matches_direct(self, unit_profile):
-        a = unit_profile
-        np.testing.assert_array_equal(a.scaled(2.5).variances, a.variances * 2.5)
-        assert a.scaled(2.5).symbol_power == 2.5
 
     def test_peak_at_carrier_bin(self, unit_profile, base_cfg):
         expected = round(base_cfg.nb.normalized_freq * base_cfg.ofdm.num_subcarriers)
@@ -297,16 +291,21 @@ class TestCalibration:
         with pytest.raises(DomainError, match="link.sir_db"):
             calibrated_profile(cfg)
 
-    @pytest.mark.parametrize("key,bandwidth", [
-        ("nb.bandwidth_hz", 1e-300), ("nb.bandwidth_hz", 1e300),
-        ("nb.bandwidth_hz", 10.0), ("ofdm.bandwidth_hz", 1e300)],
-        ids=["1e-300", "1e+300", "10.0", "ofdm-1e+300"])
-    def test_extreme_interferer_bandwidth_rejected(self, base_cfg, key, bandwidth):
-        # validate passes all four; the pulse's half-span is then below one
+    @pytest.mark.parametrize("overrides", [
+        {"nb.bandwidth_hz": 1e-300}, {"nb.bandwidth_hz": 1e300},
+        {"nb.bandwidth_hz": 10.0}, {"ofdm.bandwidth_hz": 1e300},
+        {"ofdm.bandwidth_hz": 1e308, "nb.bandwidth_hz": 1.2e306},
+        {"ofdm.bandwidth_hz": 1e306, "nb.bandwidth_hz": 1e308},
+        {"ofdm.bandwidth_hz": 1e307, "nb.bandwidth_hz": 1e308}],
+        ids=["1e-300", "1e+300", "10.0", "ofdm-1e+300",
+             "ofdm-1e+308-nb-1.2e+306", "ofdm-1e+306-nb-1e+308", "ofdm-1e+307-nb-1e+308"])
+    def test_extreme_interferer_bandwidth_rejected(self, base_cfg, overrides):
+        # validate passes all seven; the pulse's half-span is then below one
         # sample (1e300 Hz interferer) or above the bound on the samples summed
         # for r_p: infinitely many at 1e-300 Hz, 2.2e7 at 10 Hz, 1e298 at a
-        # 1e300 Hz OFDM band
-        cfg = validate(updated(base_cfg, {key: bandwidth}))
+        # 1e300 Hz OFDM band. The last three keep the span in range, but the
+        # profile overflows: in r_p, in its 1/T scaling and in its sum.
+        cfg = validate(updated(base_cfg, overrides))
         with pytest.raises(DomainError, match="nb.bandwidth_hz and ofdm.bandwidth_hz"):
             calibrated_profile(cfg)
 

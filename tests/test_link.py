@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ofdm_bitload import Constellation, DomainError, ber, q_function, sinr
-from ofdm_bitload.link import ACTIVE_LADDER
+from ofdm_bitload import Constellation, DomainError, ber, sinr
+from ofdm_bitload.link import ACTIVE_LADDER, q_function
 
 ACTIVE = [Constellation.BPSK, Constellation.QPSK, Constellation.QAM16, Constellation.QAM64]
 

@@ -1,7 +1,8 @@
-"""The paper-figure scripts, each a loop over one CLI sweep subcommand.
+"""The scripts: the paper-figure sweeps and the golden-value generator.
 
-Each script's ``main`` runs in-process in a temporary directory at 2 trials;
-every CSV it writes must equal the sweep of the experiment it reproduces.
+Each figure script is a loop over one CLI sweep subcommand. Its ``main`` runs
+in-process in a temporary directory at 2 trials; every CSV it writes must
+equal the sweep of the experiment it reproduces.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ import pytest
 
 from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, run_sweep
 from ofdm_bitload.experiments import sweep_csv
+from test_acceptance import GOLDEN_AVG_THROUGHPUT_BITS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 FN_GRID = tuple(np.round(np.arange(0.40, 0.701, 0.02), 10))
@@ -94,3 +96,11 @@ def test_help_shows_the_script_and_the_cli_flags(monkeypatch, tmp_path, capsys, 
         assert out.count("usage: ofdm-bitload") == 1
         assert "--trials TRIALS" in out
         assert list(tmp_path.iterdir()) == []
+
+
+def test_make_golden_prints_the_frozen_value(capsys):
+    # the acceptance suite's golden value is pasted from this script's output
+    _load("make_golden").main()
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("#"))
+    assert float(printed["GOLDEN_AVG_THROUGHPUT_BITS"]) == GOLDEN_AVG_THROUGHPUT_BITS
