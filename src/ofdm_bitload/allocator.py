@@ -57,7 +57,8 @@ def _reduce(g: np.ndarray, target_ber: float, cp_loss: float):
     it stops transmission.
     """
     rows, n_sc = g.shape
-    levels = [ber(c, g, cp_loss) for c in ACTIVE_LADDER]
+    levels = [ber(c, g, cp_loss) for c in ACTIVE_LADDER[:3]]
+    levels.append(levels[2])  # BPSK's BER is QPSK's expression, Q(sqrt(2 g))
     table = np.stack(levels, axis=-1)
     key = np.minimum.accumulate(table, axis=-1).reshape(rows, 4 * n_sc)
     order = np.argsort(-key, axis=1, kind="stable")

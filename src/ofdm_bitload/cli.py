@@ -23,8 +23,6 @@ from .config import SystemConfig, config_as_dict, load_config, updated, validate
 from .errors import DomainError
 from .experiments import SweepKind, SweepSpec, run_sweep, run_trial
 
-CONFIG_ENV = "OFDM_BITLOAD_CONFIG"
-
 _SWEEP_DEFAULT_GRID = {
     SweepKind.FN: tuple(np.round(np.arange(0.40, 0.701, 0.02), 10)),
     SweepKind.SNR: tuple(float(x) for x in range(0, 41, 5)),
@@ -47,18 +45,24 @@ def _build_parser() -> argparse.ArgumentParser:
     def grid(text: str) -> tuple:
         return tuple(float(v) for v in text.split(","))
 
+    def csv_path(text: str) -> str:
+        # the sidecar takes the <stem>.json name, so it would replace the CSV
+        if os.path.splitext(text)[1].lower() == ".json":
+            raise argparse.ArgumentTypeError(f"must not end in .json, got {text}")
+        return text
+
     parser = argparse.ArgumentParser(
         prog="ofdm-bitload",
         description="Adaptive OFDM bit loading next to a narrowband interferer")
     parser.add_argument("--config", default=None,
-                        help=f"flat key-value config file (default: ${CONFIG_ENV} "
-                             "or built-in defaults)")
+                        help="flat key-value config file (default: built-in defaults)")
     parser.add_argument("--seed", type=at_least(0), default=0, help="base random seed")
     parser.add_argument("--trials", type=at_least(1), default=100,
                         help="Monte Carlo trials per grid point (default 100)")
     parser.add_argument("--workers", type=at_least(1), default=os.cpu_count() or 1,
                         help="parallel worker processes")
-    parser.add_argument("--output", default=None, help="output CSV path")
+    parser.add_argument("--output", type=csv_path, default=None,
+                        help="output CSV path; its sidecar is <stem>.json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def link_flags(p, flags) -> None:
@@ -68,13 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, kind in (("sweep-fn", SweepKind.FN), ("sweep-snr", SweepKind.SNR),
                        ("sweep-sigma-h", SweepKind.SIGMA_H)):
-        p = sub.add_parser(name, help=f"average-throughput sweep over {kind.value}")
+        p = sub.add_parser(name, help=f"average-throughput sweep over {kind.name.lower()}")
         p.set_defaults(kind=kind, run=_cmd_sweep)
         p.add_argument("--grid", type=grid, default=None,
                        help="comma-separated grid values (default: built-in grid)")
         # the swept key comes from the grid, so its own flag is not accepted
-        link_flags(p, [f for f, key in _LINK_FLAGS.items()
-                       if key != experiments._GRID_KEY[kind]])
+        link_flags(p, [f for f, key in _LINK_FLAGS.items() if key != kind.value])
 
     p = sub.add_parser("allocate", help="one-shot allocation for a single channel draw")
     p.set_defaults(run=_cmd_allocate)
@@ -95,8 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_base_config(args) -> SystemConfig:
-    path = args.config or os.environ.get(CONFIG_ENV)
-    cfg = load_config(path) if path else SystemConfig()
+    cfg = load_config(args.config) if args.config else SystemConfig()
     overrides = {key: value for key, value in vars(args).items()
                  if key in _LINK_FLAGS.values() and value is not None}
     return validate(updated(cfg, overrides))
@@ -130,20 +132,20 @@ def _write_outputs(args, default_path: str, csv_text: str, sidecar: dict) -> int
 
 
 def _cmd_sweep(args, cfg: SystemConfig) -> int:
-    kind = args.kind
+    kind, name = args.kind, args.kind.name.lower()
     grid = args.grid or _SWEEP_DEFAULT_GRID[kind]
     spec = SweepSpec(kind=kind, grid=grid, trials=args.trials, base_seed=args.seed)
-    print(f"running {kind.value} sweep: {len(grid)} points x {args.trials} trials",
+    print(f"running {name} sweep: {len(grid)} points x {args.trials} trials",
           file=sys.stderr)
     records = run_sweep(spec, cfg, workers=args.workers)
     # provenance: resolved config, spec and records, enough to re-run the sweep
     sidecar = {
-        "sweep": {"kind": kind.value, "grid": list(spec.grid), "trials": spec.trials,
+        "sweep": {"kind": name, "grid": list(spec.grid), "trials": spec.trials,
                   "base_seed": spec.base_seed, "fixed": dict(spec.fixed)},
         "config": config_as_dict(cfg),
         "records": [asdict(r) for r in records],
     }
-    return _write_outputs(args, f"sweep_{kind.value}.csv",
+    return _write_outputs(args, f"sweep_{name}.csv",
                           experiments.sweep_csv(records), sidecar)
 
 
@@ -177,7 +179,7 @@ def _cmd_profile_dump(args, cfg: SystemConfig) -> int:
 
 def _cmd_verify(args, cfg: SystemConfig) -> int:
     profile = interference.calibrated_profile(cfg)
-    gammas = experiments.trial_sinrs(cfg, profile, trial_index=0, base_seed=args.seed)
+    gammas = experiments.trial_sinrs(cfg, profile, 0, 1, args.seed)[0]
     result = allocate(gammas, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
     if result.status is AllocationStatus.TRANSMISSION_STOPPED:
         print(json.dumps({"status": result.status.value, "throughput_bits": 0}))

@@ -21,7 +21,6 @@ class OfdmConfig:
     bandwidth_hz: float = 1.25e6
     num_subcarriers: int = 128
     cp_fraction: float = 0.25
-    postfix_s: float = 0.0
 
     @property
     def subcarrier_spacing_hz(self) -> float:
@@ -39,7 +38,7 @@ class OfdmConfig:
     def cp_loss_factor(self) -> float:
         """Useful-symbol fraction of the total symbol duration, in (0, 1]."""
         t_u = self.useful_symbol_s
-        return t_u / (t_u + self.cp_fraction * t_u + self.postfix_s)
+        return t_u / (t_u + self.cp_fraction * t_u)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     _check(isinstance(o.num_subcarriers, int) and o.num_subcarriers >= 1,
            "ofdm.num_subcarriers positive integer")
     _check(o.cp_fraction >= 0, "ofdm.cp_fraction >= 0")
-    _check(o.postfix_s >= 0, "ofdm.postfix_s >= 0")
+    _check(o.subcarrier_spacing_hz > 0, "ofdm.bandwidth_hz / ofdm.num_subcarriers > 0")
     _check(0.0 < o.cp_loss_factor <= 1.0, "cp loss factor in (0, 1]")
     _check(n.bandwidth_hz > 0, "nb.bandwidth_hz > 0")
     _check(0.0 <= n.rolloff <= 1.0, "nb.rolloff in [0, 1]")

@@ -3,8 +3,8 @@ channel-estimation error variance.
 
 Reproducibility contract: every trial derives its own random stream from
 (base_seed, grid point, trial index) via numpy SeedSequence spawn keys, and
-aggregation runs over fixed-size chunks in trial order, so results are
-bit-identical for any worker count.
+each chunk returns exact integer sums of whole-bit throughputs, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,23 +24,18 @@ from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
 
-_CHUNK = 256  # fixed aggregation granularity, independent of workers
+_CHUNK = 256  # trials per pool task; the integer sums do not depend on it
 _BLOCK = 16   # trials per array pass, which bounds the pass's working memory
 
 CSV_HEADER = "x,avg_throughput_bits,stderr_bits,stopped_fraction,trials,seed"
 
 
 class SweepKind(enum.Enum):
-    FN = "fn"
-    SNR = "snr"
-    SIGMA_H = "sigma_h"
+    """A sweep axis; its value is the config key the grid sets."""
 
-
-_GRID_KEY = {
-    SweepKind.FN: "nb.normalized_freq",
-    SweepKind.SNR: "link.avg_snr_db",
-    SweepKind.SIGMA_H: "link.est_error_var",
-}
+    FN = "nb.normalized_freq"
+    SNR = "link.avg_snr_db"
+    SIGMA_H = "link.est_error_var"
 
 
 @dataclass(frozen=True)
@@ -89,8 +84,8 @@ def point_seed(base_seed: int, kind: SweepKind, point_index: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-def _block_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
-                 start: int, stop: int, base_seed: int) -> np.ndarray:
+def trial_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
+                start: int, stop: int, base_seed: int) -> np.ndarray:
     """SINRs of trials start..stop-1, one row each, each from its own channel draw."""
     rngs = [trial_stream(base_seed, t) for t in range(start, stop)]
     gains_sq = _draw_stacked(cfg.channel, cfg.ofdm, rngs).gains_sq
@@ -98,16 +93,10 @@ def _block_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
                 cfg.link.est_error_var, profile.variances)
 
 
-def trial_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
-                trial_index: int, base_seed: int = 0) -> np.ndarray:
-    """Per-subcarrier SINRs of one trial: its own channel draw under ``profile``."""
-    return _block_sinrs(cfg, profile, trial_index, trial_index + 1, base_seed)[0]
-
-
 def run_trial(cfg: SystemConfig, profile: InterferenceProfile,
               trial_index: int, base_seed: int = 0) -> AllocationResult:
     """One channel draw, one SINR vector, one allocation."""
-    return allocate(trial_sinrs(cfg, profile, trial_index, base_seed),
+    return allocate(trial_sinrs(cfg, profile, trial_index, trial_index + 1, base_seed)[0],
                     cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
 
 
@@ -116,7 +105,7 @@ def _chunk_stats(cfg: SystemConfig, profile: InterferenceProfile,
     """Throughput sum, sum of squares and stopped count, _BLOCK trials per pass."""
     s = s2 = stopped = 0
     for a in range(start, stop, _BLOCK):
-        g = _block_sinrs(cfg, profile, a, min(a + _BLOCK, stop), base_seed)
+        g = trial_sinrs(cfg, profile, a, min(a + _BLOCK, stop), base_seed)
         _, _, _, den, steps = _reduce(g, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
         # a met row carries bits; a stopped row ends with none
         bits = np.take_along_axis(den, steps[:, None], axis=1)[:, 0].tolist()
@@ -139,7 +128,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
     seeds = [point_seed(spec.base_seed, spec.kind, i) for i in range(len(spec.grid))]
     tasks = []
     for x, seed in zip(spec.grid, seeds):
-        cfg_x = validate(updated(cfg, {_GRID_KEY[spec.kind]: x}))
+        cfg_x = validate(updated(cfg, {spec.kind.value: x}))
         profile = calibrated_profile(cfg_x)
         tasks += [(cfg_x, profile, a, b, seed) for a, b in bounds]
     if workers > 1 and len(bounds) > 1:

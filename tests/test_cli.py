@@ -65,6 +65,32 @@ class TestSweep:
         assert sidecar["sweep"]["kind"] == "snr"
         assert len(sidecar["records"]) == 2
 
+    @pytest.mark.parametrize("command, grid, kind", [
+        ("sweep-fn", "0.5", "fn"), ("sweep-snr", "10", "snr"),
+        ("sweep-sigma-h", "0.01", "sigma_h")])
+    def test_default_output_names(self, capsys, tmp_path, monkeypatch, command, grid, kind):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "--trials", "2", "--workers", "1",
+                               command, "--grid", grid)
+        assert code == 0
+        assert out.strip() == f"sweep_{kind}.csv"
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == [f"sweep_{kind}.csv", f"sweep_{kind}.json"]
+        sidecar = json.loads((tmp_path / f"sweep_{kind}.json").read_text())
+        assert sidecar["sweep"]["kind"] == kind
+
+    @pytest.mark.parametrize("argv", [["--output", "res.json"], ["--output", "RES.JSON"],
+                                      ["--output=x.csv.json"]])
+    def test_json_output_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # the sidecar is <stem>.json, so it would overwrite a CSV named so
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "--trials", "3", "--workers", "1", *argv,
+                                 "sweep-sigma-h")
+        assert code == 2
+        assert "argument --output" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_fn_sweep_with_default_grid(self, capsys, tmp_path):
         out_csv = tmp_path / "fn.csv"
         code, _, _ = run_cli(
@@ -178,13 +204,13 @@ class TestConfigHandling:
             < json.loads(base)["throughput_bits"]
 
     def test_config_env_var(self, capsys, tmp_path, monkeypatch):
+        # --config alone names a config file; the environment does not
         path = tmp_path / "env.cfg"
         path.write_text("link.sir_db = -20.0\n")
+        _, base, _ = run_cli(capsys, "allocate")
         monkeypatch.setenv("OFDM_BITLOAD_CONFIG", str(path))
         _, out_env, _ = run_cli(capsys, "allocate")
-        monkeypatch.delenv("OFDM_BITLOAD_CONFIG")
-        _, out_flag, _ = run_cli(capsys, "--config", str(path), "allocate")
-        assert out_env == out_flag
+        assert out_env == base
 
     def test_invalid_config_value_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -200,6 +226,17 @@ class TestConfigHandling:
         assert code == 3
         assert out == ""
         assert "channel.num_taps <= ofdm.num_subcarriers" in err
+
+    @pytest.mark.parametrize("text", [
+        "ofdm.bandwidth_hz = 5e-324", "ofdm.num_subcarriers = 200\nofdm.bandwidth_hz = 1e-322"],
+        ids=["5e-324", "n200-1e-322"])
+    def test_zero_subcarrier_spacing_exit_code(self, capsys, tmp_path, text):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, "--config", str(path), "allocate")
+        assert code == 3
+        assert out == ""
+        assert "ofdm.bandwidth_hz / ofdm.num_subcarriers > 0" in err
 
     def test_non_finite_flag_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "allocate", "--fn", "inf")

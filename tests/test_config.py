@@ -28,12 +28,8 @@ class TestDerivedQuantities:
 class TestCpLossFactor:
     @pytest.mark.parametrize("cp_fraction,expected", [(0.25, 0.8), (0.0, 1.0), (1.0, 0.5)])
     def test_known_values(self, cp_fraction, expected):
-        ofdm = OfdmConfig(cp_fraction=cp_fraction, postfix_s=0.0)
+        ofdm = OfdmConfig(cp_fraction=cp_fraction)
         assert ofdm.cp_loss_factor == pytest.approx(expected)
-
-    def test_postfix_enters_denominator(self):
-        ofdm = OfdmConfig(cp_fraction=0.0, postfix_s=102.4e-6)
-        assert ofdm.cp_loss_factor == pytest.approx(0.5)
 
 
 class TestValidation:
@@ -47,6 +43,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("ofdm.bandwidth_hz", -1.0),
+        # positive, but the subcarrier spacing BW / N underflows to 0
+        ("ofdm.bandwidth_hz", 5e-324),
         ("nb.bandwidth_hz", 0.0),
         ("nb.normalized_freq", -0.1),
         ("channel.num_taps", 0),
@@ -65,7 +63,7 @@ class TestValidation:
             validate(updated(cfg, {key: value}))
 
     @pytest.mark.parametrize("key", [
-        "ofdm.bandwidth_hz", "ofdm.postfix_s", "nb.bandwidth_hz", "nb.normalized_freq",
+        "ofdm.bandwidth_hz", "nb.bandwidth_hz", "nb.normalized_freq",
         "channel.decay_factor", "link.est_error_var", "link.symbol_power",
     ])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
@@ -119,8 +117,10 @@ class TestSerialization:
             parse_config("what is this")
 
     def test_unknown_key_in_file(self):
-        with pytest.raises(DomainError, match="unknown key"):
-            parse_config("nb.carrier_hz = 1e6\n")
+        # a removed key is unknown too: cp_fraction alone sets the guard time
+        for text in ("nb.carrier_hz = 1e6\n", "ofdm.postfix_s = 0.0\n"):
+            with pytest.raises(DomainError, match="unknown key"):
+                parse_config(text)
 
     def test_shipped_example_config_matches_defaults(self):
         path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "table1.cfg"
