@@ -2,8 +2,9 @@
 
 Subcommands: sweep-fn, sweep-snr, sweep-sigma-h, allocate, profile-dump,
 verify. Machine-readable summaries go to stdout; progress and diagnostics to
-stderr. This is the one module that writes files: each CSV is written
-atomically (temp file + rename) with a strict-JSON provenance sidecar next to it.
+stderr. This is the one module that writes files: it formats each CSV, writes
+it atomically (temp file + rename) and puts a strict-JSON provenance sidecar
+next to it.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from . import experiments, interference, verifier
 from .allocator import AllocationStatus, allocate
-from .config import SystemConfig, config_as_dict, load_config, updated, validate
+from .config import SystemConfig, config_as_dict, load_config, updated
 from .errors import DomainError
-from .experiments import SweepKind, SweepSpec, run_sweep, run_trial
+from .experiments import SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial
 
 _SWEEP_DEFAULT_GRID = {
     SweepKind.FN: tuple(np.round(np.arange(0.40, 0.701, 0.02), 10)),
@@ -46,9 +47,16 @@ def _build_parser() -> argparse.ArgumentParser:
         return tuple(float(v) for v in text.split(","))
 
     def csv_path(text: str) -> str:
-        # the sidecar takes the <stem>.json name, so it would replace the CSV
+        # checked before any work runs, so a bad path neither wastes a sweep
+        # nor lets a file appear; the sidecar takes the <stem>.json name
+        if not text:
+            raise argparse.ArgumentTypeError("must not be empty")
         if os.path.splitext(text)[1].lower() == ".json":
             raise argparse.ArgumentTypeError(f"must not end in .json, got {text}")
+        if os.path.isdir(text):
+            raise argparse.ArgumentTypeError(f"is a directory: {text}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+            raise argparse.ArgumentTypeError(f"its directory does not exist: {text}")
         return text
 
     parser = argparse.ArgumentParser(
@@ -101,14 +109,24 @@ def _load_base_config(args) -> SystemConfig:
     cfg = load_config(args.config) if args.config else SystemConfig()
     overrides = {key: value for key, value in vars(args).items()
                  if key in _LINK_FLAGS.values() and value is not None}
-    return validate(updated(cfg, overrides))
+    return updated(cfg, overrides)
+
+
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then each row's values as their repr."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _atomic_write(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    # mkstemp creates the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -145,8 +163,8 @@ def _cmd_sweep(args, cfg: SystemConfig) -> int:
         "config": config_as_dict(cfg),
         "records": [asdict(r) for r in records],
     }
-    return _write_outputs(args, f"sweep_{name}.csv",
-                          experiments.sweep_csv(records), sidecar)
+    csv_text = _csv([f.name for f in fields(SweepRecord)], map(astuple, records))
+    return _write_outputs(args, f"sweep_{name}.csv", csv_text, sidecar)
 
 
 def _cmd_allocate(args, cfg: SystemConfig) -> int:
@@ -167,14 +185,14 @@ def _cmd_allocate(args, cfg: SystemConfig) -> int:
 
 def _cmd_profile_dump(args, cfg: SystemConfig) -> int:
     analytic = interference.calibrated_profile(cfg)
-    mc = None
+    columns = {"variance_analytic": analytic}
     if args.mc_symbols > 0:
-        mc = interference.mc_variance(cfg, analytic.symbol_power, args.mc_symbols,
-                                      np.random.default_rng(args.seed))
+        columns["variance_mc"] = interference.mc_variance(
+            cfg, analytic.symbol_power, args.mc_symbols, np.random.default_rng(args.seed))
+    rows = zip(range(cfg.ofdm.num_subcarriers), *(p.variances.tolist() for p in columns.values()))
     sidecar = {"config": config_as_dict(cfg), "seed": args.seed,
                "sigma_b2": analytic.symbol_power}
-    return _write_outputs(args, "interference_profile.csv",
-                          interference.profile_csv(analytic, mc), sidecar)
+    return _write_outputs(args, "interference_profile.csv", _csv(["k", *columns], rows), sidecar)
 
 
 def _cmd_verify(args, cfg: SystemConfig) -> int:

@@ -1,10 +1,10 @@
 """System parameters: OFDM grid, narrowband interferer, channel, and link budget.
 
 Defaults reproduce the 1.25 MHz / 128-subcarrier system with a 15 kHz
-root-raised-cosine QPSK interferer. All configs are frozen dataclasses;
-derived quantities (subcarrier spacing, symbol durations, cyclic-prefix
-loss) are exposed as properties so they can never drift out of sync with
-the raw parameters.
+root-raised-cosine QPSK interferer. All configs are frozen dataclasses, and a
+SystemConfig checks every invariant when it is built; derived quantities
+(subcarrier spacing, symbol durations, cyclic-prefix loss) are exposed as
+properties so they can never drift out of sync with the raw parameters.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ class SystemConfig:
     channel: ChannelConfig = ChannelConfig()
     link: LinkConfig = LinkConfig()
 
+    def __post_init__(self) -> None:
+        validate(self)
+
     @property
     def carrier_offset_hz(self) -> float:
         """Interferer carrier offset from the OFDM carrier, (F_n mod 1) * BW.
@@ -141,7 +144,7 @@ _KEY_MAP = {f"{section.name}.{f.name}": (section.name, f.name, type(f.default))
 
 
 def updated(cfg: SystemConfig, overrides: dict) -> SystemConfig:
-    """Return a copy of cfg with dotted-key overrides applied."""
+    """Return a copy of cfg with dotted-key overrides applied, validated as a whole."""
     groups: dict[str, dict] = {}
     for key, value in overrides.items():
         if key not in _KEY_MAP:
@@ -155,10 +158,8 @@ def updated(cfg: SystemConfig, overrides: dict) -> SystemConfig:
         if typ is int and not isinstance(value, str) and converted != value:
             raise DomainError(f"config key {key}: {value!r} is not an integer")
         groups.setdefault(section, {})[field] = converted
-    out = cfg
-    for section, fields in groups.items():
-        out = dataclasses.replace(out, **{section: dataclasses.replace(getattr(out, section), **fields)})
-    return out
+    return dataclasses.replace(cfg, **{s: dataclasses.replace(getattr(cfg, s), **fields)
+                                       for s, fields in groups.items()})
 
 
 def parse_config(text: str) -> SystemConfig:
@@ -174,7 +175,7 @@ def parse_config(text: str) -> SystemConfig:
         if key not in _KEY_MAP:
             raise DomainError(f"config line {lineno}: unknown key {key!r}")
         overrides[key] = value
-    return validate(updated(SystemConfig(), overrides))
+    return updated(SystemConfig(), overrides)
 
 
 def load_config(path) -> SystemConfig:

@@ -19,15 +19,13 @@ import numpy as np
 
 from .allocator import AllocationResult, _reduce, allocate
 from .channel import _draw_stacked
-from .config import SystemConfig, updated, validate
+from .config import SystemConfig, updated
 from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
 
 _CHUNK = 256  # trials per pool task; the integer sums do not depend on it
 _BLOCK = 16   # trials per array pass, which bounds the pass's working memory
-
-CSV_HEADER = "x,avg_throughput_bits,stderr_bits,stopped_fraction,trials,seed"
 
 
 class SweepKind(enum.Enum):
@@ -46,7 +44,7 @@ class SweepSpec:
     base_seed: int
     fixed: dict = field(default_factory=dict)
 
-    def validated(self) -> "SweepSpec":
+    def __post_init__(self) -> None:
         if len(self.grid) == 0:
             raise DomainError("sweep grid must be non-empty")
         if not all(math.isfinite(x) for x in self.grid):
@@ -55,7 +53,6 @@ class SweepSpec:
             raise DomainError("sweep grid must be strictly increasing")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        return self
 
 
 @dataclass(frozen=True)
@@ -120,15 +117,14 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
 
     With ``workers`` > 1 and several chunks per point, one pool runs them all.
     """
-    spec = spec.validated()
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    cfg = validate(updated(cfg, spec.fixed))
+    cfg = updated(cfg, spec.fixed)
     bounds = [(a, min(a + _CHUNK, spec.trials)) for a in range(0, spec.trials, _CHUNK)]
     seeds = [point_seed(spec.base_seed, spec.kind, i) for i in range(len(spec.grid))]
     tasks = []
     for x, seed in zip(spec.grid, seeds):
-        cfg_x = validate(updated(cfg, {spec.kind.value: x}))
+        cfg_x = updated(cfg, {spec.kind.value: x})
         profile = calibrated_profile(cfg_x)
         tasks += [(cfg_x, profile, a, b, seed) for a, b in bounds]
     if workers > 1 and len(bounds) > 1:
@@ -145,13 +141,3 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
                                    stderr_bits=float(np.sqrt(max(var, 0.0) / n)),
                                    stopped_fraction=stopped / n, trials=n, seed=seed))
     return records
-
-
-def sweep_csv(records: list[SweepRecord]) -> str:
-    """The sweep as CSV text, one row per grid value under CSV_HEADER."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(f"{r.x!r},{r.avg_throughput_bits!r},{r.stderr_bits!r},"
-                     f"{r.stopped_fraction!r},{r.trials},{r.seed}")
-    return "\n".join(lines) + "\n"
-

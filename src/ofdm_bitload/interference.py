@@ -200,9 +200,6 @@ def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
     SIR is the mean OFDM subcarrier power (symbol_power, since the channel is
     gain-normalized) over the subcarrier-averaged interference variance.
     """
-    sir_db = cfg.link.sir_db
-    if not np.isfinite(sir_db):
-        raise DomainError("link.sir_db must be finite")
     try:
         with np.errstate(over="raise", invalid="raise"):
             unit = analytic_variance(cfg, 1.0)
@@ -213,19 +210,7 @@ def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
                           f"overflows at {cfg.nb.bandwidth_hz!r} and "
                           f"{cfg.ofdm.bandwidth_hz!r} Hz") from None
     n_sc = cfg.ofdm.num_subcarriers
-    sigma_b2 = n_sc * cfg.link.symbol_power * 10.0 ** (-sir_db / 10.0) / total
+    sigma_b2 = n_sc * cfg.link.symbol_power * 10.0 ** (-cfg.link.sir_db / 10.0) / total
     if not np.isfinite(sigma_b2):
-        raise DomainError(f"link.sir_db = {sir_db!r}: interferer symbol power overflows")
+        raise DomainError(f"link.sir_db = {cfg.link.sir_db!r}: interferer symbol power overflows")
     return InterferenceProfile(unit.variances * sigma_b2, sigma_b2)
-
-
-def profile_csv(analytic: InterferenceProfile,
-                montecarlo: InterferenceProfile | None = None) -> str:
-    """The profile as CSV text, one row per subcarrier k; the MC column if given."""
-    columns = {"variance_analytic": analytic.variances}
-    if montecarlo is not None:
-        columns["variance_mc"] = montecarlo.variances
-    lines = [",".join(["k", *columns])]
-    lines += [",".join([str(k), *(repr(float(v)) for v in row)])
-              for k, row in enumerate(zip(*columns.values()))]
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ofdm_bitload import SystemConfig, validate
+from ofdm_bitload import SweepRecord, SystemConfig, validate
+
+
+def _reference_csv(header, rows) -> str:
+    """CSV text as the CLI writes it: the header line, then each value's repr."""
+    lines = [",".join(header)] + [",".join(repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -12,3 +20,16 @@ def cfg() -> SystemConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def reference_csv():
+    return _reference_csv
+
+
+@pytest.fixture
+def sweep_reference_csv():
+    """A sweep's CSV text: the SweepRecord field names, then one row per record."""
+    names = [f.name for f in dataclasses.fields(SweepRecord)]
+    return lambda records: _reference_csv(
+        names, ([getattr(r, name) for name in names] for r in records))

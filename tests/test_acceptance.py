@@ -16,7 +16,8 @@ from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
                           SystemConfig, allocate, analytic_variance, ber,
                           draw_realization, mc_variance, measure_ber, run_sweep,
                           updated, validate)
-from ofdm_bitload.experiments import run_trial, sweep_csv
+from ofdm_bitload.cli import main
+from ofdm_bitload.experiments import run_trial
 from ofdm_bitload.link import ACTIVE_LADDER
 
 BASE = validate(SystemConfig())
@@ -326,11 +327,13 @@ def test_criterion_08_estimation_error_degrades_throughput():
     assert time.monotonic() - start < 300.0
 
 
-def test_criterion_09_determinism_across_workers():
-    spec = SweepSpec(SweepKind.SNR, (10.0, 30.0), 600, SEED)
-    serial = sweep_csv(run_sweep(spec, BASE, workers=1))
-    parallel = sweep_csv(run_sweep(spec, BASE, workers=2))
-    assert serial.encode() == parallel.encode()
+def test_criterion_09_determinism_across_workers(tmp_path, capsys):
+    csvs = []
+    for workers in ("1", "2"):
+        csvs.append(tmp_path / f"workers{workers}.csv")
+        assert main(["--trials", "600", "--seed", str(SEED), "--workers", workers,
+                     "--output", str(csvs[-1]), "sweep-snr", "--grid", "10,30"]) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
 def test_criterion_10_golden_regression():

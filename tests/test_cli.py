@@ -1,6 +1,9 @@
 import importlib.metadata
 import json
 import math
+import os
+import pathlib
+import shlex
 import shutil
 
 import pytest
@@ -8,9 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ofdm_bitload import SystemConfig, calibrated_profile
 from ofdm_bitload.config import config_as_dict
-from ofdm_bitload.cli import main
-from ofdm_bitload.experiments import CSV_HEADER
-from ofdm_bitload.interference import profile_csv
+from ofdm_bitload.cli import _build_parser, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +62,7 @@ class TestSweep:
         assert out.strip() == str(out_csv)
         assert "2 points x 10 trials" in err
         lines = out_csv.read_text().strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == "x,avg_throughput_bits,stderr_bits,stopped_fraction,trials,seed"
         assert len(lines) == 3
         sidecar = json.loads((tmp_path / "snr.json").read_text())
         assert sidecar["sweep"]["kind"] == "snr"
@@ -90,6 +93,31 @@ class TestSweep:
         assert "argument --output" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--output="], ["--output", "d"],
+                                      ["--output", "nodir/x.csv"]],
+                             ids=["empty", "directory", "missing-parent"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # found when parsed, not after the sweep; an empty value is not "no --output"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        code, out, err = run_cli(capsys, "--trials", "3", "--workers", "1", *argv,
+                                 "sweep-snr", "--grid", "10")
+        assert code == 2
+        assert "argument --output" in err
+        assert out == ""
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_output_files_get_the_umask_mode(self, capsys, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "--output", str(tmp_path / "p.csv"), "profile-dump")
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert [(p.name, p.stat().st_mode & 0o777) for p in sorted(tmp_path.iterdir())] \
+            == [("p.csv", 0o666 & ~umask), ("p.json", 0o666 & ~umask)]
 
     def test_fn_sweep_with_default_grid(self, capsys, tmp_path):
         out_csv = tmp_path / "fn.csv"
@@ -137,11 +165,13 @@ class TestSweep:
 
 
 class TestProfileDump:
-    def test_analytic_only(self, capsys, tmp_path):
+    def test_analytic_only(self, capsys, tmp_path, reference_csv):
         out_csv = tmp_path / "prof.csv"
         code, out, _ = run_cli(capsys, "--output", str(out_csv), "profile-dump")
         assert code == 0
-        assert out_csv.read_text() == profile_csv(calibrated_profile(SystemConfig()))
+        variances = calibrated_profile(SystemConfig()).variances.tolist()
+        assert out_csv.read_text() \
+            == reference_csv(["k", "variance_analytic"], enumerate(variances))
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0] == "k,variance_analytic"
         assert len(lines) == 129
@@ -386,6 +416,21 @@ def test_hostile_flags_exit_cleanly(capsys, tmp_path, argv):
             json.loads(out)
     for sidecar in tmp_path.glob("*.json"):
         strict_json(sidecar.read_text())
+
+
+def test_readme_cli_examples_parse(tmp_path, monkeypatch):
+    """Every ``ofdm-bitload`` line of the README parses; none of them runs."""
+    monkeypatch.chdir(tmp_path)  # --output is checked against the working directory
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("ofdm-bitload ")]
+    assert len(examples) >= 6
+    parser = _build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: ofdm-bitload {shlex.join(argv)}")
 
 
 def _distribution_missing(name: str) -> bool:

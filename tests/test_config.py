@@ -37,9 +37,9 @@ class TestValidation:
         validate(SystemConfig())
 
     def test_zero_target_ber_rejected(self, cfg):
-        bad = updated(cfg, {"link.target_ber": 0.0})
+        # a SystemConfig validates itself, so building the bad one raises
         with pytest.raises(DomainError, match="target_ber"):
-            validate(bad)
+            updated(cfg, {"link.target_ber": 0.0})
 
     @pytest.mark.parametrize("key,value", [
         ("ofdm.bandwidth_hz", -1.0),
@@ -70,6 +70,12 @@ class TestValidation:
     def test_non_finite_rejected(self, cfg, key, value):
         with pytest.raises(DomainError, match="finite"):
             validate(updated(cfg, {key: value}))
+
+    def test_sections_updated_together(self, cfg):
+        # 4 subcarriers admit 3 taps but not the default 5: the config is
+        # validated once, with both sections changed, not section by section
+        both = updated(cfg, {"ofdm.num_subcarriers": 4, "channel.num_taps": 3})
+        assert (both.ofdm.num_subcarriers, both.channel.num_taps) == (4, 3)
 
     def test_unknown_key_rejected(self, cfg):
         with pytest.raises(DomainError, match="unknown config key"):

@@ -10,8 +10,7 @@ from ofdm_bitload import (AllocationStatus, DomainError, InterferenceProfile,
                           run_sweep, run_trial, updated, validate)
 from ofdm_bitload.config import config_as_dict
 from ofdm_bitload.cli import main
-from ofdm_bitload.experiments import (CSV_HEADER, _chunk_stats, point_seed, sweep_csv,
-                                      trial_stream)
+from ofdm_bitload.experiments import _chunk_stats, point_seed, trial_stream
 
 
 @pytest.fixture(scope="module")
@@ -101,26 +100,26 @@ class TestChunkStats:
 
 class TestSweepSpec:
     def test_valid(self):
-        SweepSpec(SweepKind.SNR, (0.0, 5.0), 10, 0).validated()
+        SweepSpec(SweepKind.SNR, (0.0, 5.0), 10, 0)
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
-            SweepSpec(SweepKind.SNR, (), 10, 0).validated()
+            SweepSpec(SweepKind.SNR, (), 10, 0)
 
     def test_non_increasing_grid(self):
         with pytest.raises(DomainError):
-            SweepSpec(SweepKind.SNR, (5.0, 5.0), 10, 0).validated()
+            SweepSpec(SweepKind.SNR, (5.0, 5.0), 10, 0)
 
     def test_zero_trials(self):
         with pytest.raises(DomainError):
-            SweepSpec(SweepKind.SNR, (0.0,), 0, 0).validated()
+            SweepSpec(SweepKind.SNR, (0.0,), 0, 0)
 
     @pytest.mark.parametrize("grid", [(float("nan"), 1.0), (0.0, float("inf")),
                                       (float("nan"),)])
     def test_non_finite_grid(self, grid):
         # "b <= a" is False for NaN, so the ordering check alone lets it through
         with pytest.raises(DomainError, match="finite"):
-            SweepSpec(SweepKind.SNR, grid, 10, 0).validated()
+            SweepSpec(SweepKind.SNR, grid, 10, 0)
 
 
 class TestRunSweep:
@@ -134,10 +133,10 @@ class TestRunSweep:
             assert 0.0 <= r.avg_throughput_bits <= 768
             assert r.stderr_bits >= 0.0
 
-    def test_deterministic_across_worker_counts(self, base_cfg):
+    def test_deterministic_across_worker_counts(self, base_cfg, sweep_reference_csv):
         spec = SweepSpec(SweepKind.SNR, (15.0, 25.0), 300, 5)
-        serial = sweep_csv(run_sweep(spec, base_cfg, workers=1))
-        parallel = sweep_csv(run_sweep(spec, base_cfg, workers=2))
+        serial = sweep_reference_csv(run_sweep(spec, base_cfg, workers=1))
+        parallel = sweep_reference_csv(run_sweep(spec, base_cfg, workers=2))
         assert serial == parallel
 
     def test_fixed_overrides_apply(self, base_cfg):
@@ -178,13 +177,15 @@ class TestRunSweep:
 
 
 class TestOutputs:
-    """The CSV text, and the files the CLI writes from it."""
+    """The files the CLI writes from a sweep's records."""
 
-    def test_csv_round_trip(self, base_cfg):
-        spec = SweepSpec(SweepKind.SNR, (10.0, 20.0), 10, 3)
-        records = run_sweep(spec, base_cfg)
-        lines = sweep_csv(records).strip().split("\n")
-        assert lines[0] == CSV_HEADER
+    def test_csv_round_trip(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["--trials", "10", "--seed", "3", "--workers", "1", "--output", str(out),
+                     "sweep-snr", "--grid", "10,20"]) == 0
+        records = run_sweep(SweepSpec(SweepKind.SNR, (10.0, 20.0), 10, 3), base_cfg)
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == ",".join(f.name for f in dataclasses.fields(records[0]))
         assert len(lines) == 3
         x, avg, stderr, stopped, trials, seed = lines[1].split(",")
         assert float(x) == 10.0
@@ -193,13 +194,13 @@ class TestOutputs:
         assert int(trials) == 10
         assert int(seed) == records[0].seed
 
-    def test_json_sidecar(self, base_cfg, tmp_path, capsys):
+    def test_json_sidecar(self, base_cfg, tmp_path, capsys, sweep_reference_csv):
         out = tmp_path / "sweep.csv"
         assert main(["--trials", "5", "--seed", "3", "--workers", "1", "--output", str(out),
                      "sweep-snr", "--grid", "10", "--sir-db", "10"]) == 0
         cfg = updated(base_cfg, {"link.sir_db": 10.0})
         records = run_sweep(SweepSpec(SweepKind.SNR, (10.0,), 5, 3), cfg)
-        assert out.read_text() == sweep_csv(records)
+        assert out.read_text() == sweep_reference_csv(records)
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["sweep"] == {"kind": "snr", "grid": [10.0], "trials": 5,
                                     "base_seed": 3, "fixed": {}}

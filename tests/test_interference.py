@@ -6,7 +6,8 @@ from ofdm_bitload import (DomainError, InterferenceProfile, NbConfig, SystemConf
                           analytic_variance, calibrated_profile, mc_variance,
                           updated, validate)
 from ofdm_bitload import interference
-from ofdm_bitload.interference import profile_csv, rrc_pulse, synthesize_nb_blocks
+from ofdm_bitload.cli import main
+from ofdm_bitload.interference import rrc_pulse, synthesize_nb_blocks
 
 
 @pytest.fixture(scope="module")
@@ -311,19 +312,28 @@ class TestCalibration:
 
 
 class TestProfileUtilities:
-    def test_csv_single(self, unit_profile):
-        lines = profile_csv(unit_profile).strip().split("\n")
+    """The profile CSV that profile-dump writes: k, then one column per method."""
+
+    def test_csv_single(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "prof.csv"
+        assert main(["--output", str(out), "profile-dump"]) == 0
+        profile = calibrated_profile(base_cfg)
+        lines = out.read_text().strip().split("\n")
         assert lines[0] == "k,variance_analytic"
-        assert len(lines) == 1 + unit_profile.variances.size
+        assert len(lines) == 1 + profile.variances.size
         k, v = lines[5].split(",")
         assert int(k) == 4
-        assert float(v) == unit_profile.variances[4]
+        assert float(v) == profile.variances[4]
 
-    def test_csv_paired(self, base_cfg, unit_profile):
-        mc = mc_variance(base_cfg, 1.0, 16, np.random.default_rng(0))
-        lines = profile_csv(unit_profile, mc).splitlines()
+    def test_csv_paired(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "prof.csv"
+        assert main(["--seed", "0", "--output", str(out), "profile-dump",
+                     "--mc-symbols", "16"]) == 0
+        profile = calibrated_profile(base_cfg)
+        mc = mc_variance(base_cfg, profile.symbol_power, 16, np.random.default_rng(0))
+        lines = out.read_text().splitlines()
         assert lines[0] == "k,variance_analytic,variance_mc"
-        assert len(lines) == 1 + unit_profile.variances.size
+        assert len(lines) == 1 + profile.variances.size
         k, va, vm = lines[7].split(",")
         assert (int(k), float(va), float(vm)) \
-            == (6, unit_profile.variances[6], mc.variances[6])
+            == (6, profile.variances[6], mc.variances[6])

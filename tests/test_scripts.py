@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, run_sweep
-from ofdm_bitload.experiments import sweep_csv
 from test_acceptance import GOLDEN_AVG_THROUGHPUT_BITS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -48,7 +47,8 @@ def _load(name):
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_script_writes_its_experiment(monkeypatch, tmp_path, capsys, name):
+def test_script_writes_its_experiment(monkeypatch, tmp_path, capsys, sweep_reference_csv,
+                                      name):
     monkeypatch.chdir(tmp_path)
     assert _load(name).main(["--trials", "2", "--seed", "5"]) == 0
     expected = EXPECTED[name]
@@ -57,7 +57,8 @@ def test_script_writes_its_experiment(monkeypatch, tmp_path, capsys, name):
         == sorted(stem + ext for stem in expected for ext in (".csv", ".json"))
     for stem, (kind, grid, fixed) in expected.items():
         records = run_sweep(SweepSpec(kind, grid, 2, 5, fixed=fixed), SystemConfig())
-        assert (tmp_path / f"{stem}.csv").read_bytes() == sweep_csv(records).encode()
+        assert (tmp_path / f"{stem}.csv").read_bytes() \
+            == sweep_reference_csv(records).encode()
         sidecar = json.loads((tmp_path / f"{stem}.json").read_text())
         [(key, value)] = fixed.items()
         assert sidecar["config"][key] == value
