@@ -33,6 +33,10 @@ _SWEEP_DEFAULT_GRID = {
 # Link flags and the config keys they set; each flag stores under its key.
 _LINK_FLAGS = {"--snr-db": "link.avg_snr_db", "--sir-db": "link.sir_db",
                "--fn": "nb.normalized_freq", "--sigma-h2": "link.est_error_var"}
+# Global flags that only some subcommands read; each parses to None when
+# absent, so a subcommand can reject one it would ignore.
+_RUN_FLAGS = ("--trials", "--workers", "--output")
+_DEFAULT_TRIALS = 100
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,12 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="flat key-value config file (default: built-in defaults)")
     parser.add_argument("--seed", type=at_least(0), default=0, help="base random seed")
-    parser.add_argument("--trials", type=at_least(1), default=100,
-                        help="Monte Carlo trials per grid point (default 100)")
-    parser.add_argument("--workers", type=at_least(1), default=os.cpu_count() or 1,
-                        help="parallel worker processes")
+    parser.add_argument("--trials", type=at_least(1), default=None,
+                        help="Monte Carlo trials per grid point, sweeps only "
+                             f"(default {_DEFAULT_TRIALS})")
+    parser.add_argument("--workers", type=at_least(1), default=None,
+                        help="parallel worker processes, sweeps only (default: CPU count)")
     parser.add_argument("--output", type=csv_path, default=None,
-                        help="output CSV path; its sidecar is <stem>.json")
+                        help="output CSV path, sweeps and profile-dump only; "
+                             "its sidecar is <stem>.json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def link_flags(p, flags) -> None:
@@ -81,24 +87,24 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, kind in (("sweep-fn", SweepKind.FN), ("sweep-snr", SweepKind.SNR),
                        ("sweep-sigma-h", SweepKind.SIGMA_H)):
         p = sub.add_parser(name, help=f"average-throughput sweep over {kind.name.lower()}")
-        p.set_defaults(kind=kind, run=_cmd_sweep)
+        p.set_defaults(kind=kind, run=_cmd_sweep, reads=_RUN_FLAGS)
         p.add_argument("--grid", type=grid, default=None,
                        help="comma-separated grid values (default: built-in grid)")
         # the swept key comes from the grid, so its own flag is not accepted
         link_flags(p, [f for f, key in _LINK_FLAGS.items() if key != kind.value])
 
     p = sub.add_parser("allocate", help="one-shot allocation for a single channel draw")
-    p.set_defaults(run=_cmd_allocate)
+    p.set_defaults(run=_cmd_allocate, reads=())
     link_flags(p, _LINK_FLAGS)
 
     p = sub.add_parser("profile-dump", help="per-subcarrier interference variance CSV")
-    p.set_defaults(run=_cmd_profile_dump)
+    p.set_defaults(run=_cmd_profile_dump, reads=("--output",))
     link_flags(p, ["--fn", "--sir-db"])
     p.add_argument("--mc-symbols", type=at_least(0), default=0,
                    help="also compute the Monte Carlo profile over this many symbols")
 
     p = sub.add_parser("verify", help="symbol-level re-measurement of one allocation")
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, reads=())
     link_flags(p, _LINK_FLAGS)
     p.add_argument("--symbols", type=at_least(1), default=100_000,
                    help="OFDM symbols to transmit per subcarrier")
@@ -152,10 +158,11 @@ def _write_outputs(args, default_path: str, csv_text: str, sidecar: dict) -> int
 def _cmd_sweep(args, cfg: SystemConfig) -> int:
     kind, name = args.kind, args.kind.name.lower()
     grid = args.grid or _SWEEP_DEFAULT_GRID[kind]
-    spec = SweepSpec(kind=kind, grid=grid, trials=args.trials, base_seed=args.seed)
-    print(f"running {name} sweep: {len(grid)} points x {args.trials} trials",
+    spec = SweepSpec(kind=kind, grid=grid, trials=args.trials or _DEFAULT_TRIALS,
+                     base_seed=args.seed)
+    print(f"running {name} sweep: {len(grid)} points x {spec.trials} trials",
           file=sys.stderr)
-    records = run_sweep(spec, cfg, workers=args.workers)
+    records = run_sweep(spec, cfg, workers=args.workers or os.cpu_count() or 1)
     # provenance: resolved config, spec and records, enough to re-run the sweep
     sidecar = {
         "sweep": {"kind": name, "grid": list(spec.grid), "trials": spec.trials,
@@ -217,6 +224,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        ignored = [flag for flag in _RUN_FLAGS
+                   if getattr(args, flag[2:]) is not None and flag not in args.reads]
+        if ignored:
+            parser.error(f"{args.command} does not read {', '.join(ignored)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -22,7 +22,12 @@ N-point FFT. Two independent routes compute the variance of FFT bin k:
   symbols and random delays, pushes it through the receiver FFT, and
   averages ``|Z_k|^2``. ``_nb_spectra`` is the one route from synthesis to
   FFT bins; the verifier's Gaussian-premise report draws its interferer
-  through it too.
+  through it too. The synthesis is polyphase: each block's delay moves to
+  the midpoint of one of ``_PHASES`` = 128 cells of T / 128, and the pulse is
+  evaluated once per phase drawn. The estimator's exact expectation is
+  therefore the symbol-by-symbol variance averaged over the 128 midpoint
+  delays; it differs from the closed form by at most 1.44e-5 of the profile
+  peak over the configurations measured (about 1e-11 at the defaults).
 
 Both are linear in the interferer symbol power, which ``calibrated_profile``
 exploits to hit a requested post-FFT signal-to-interference ratio.
@@ -131,9 +136,13 @@ def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile
                                symbol_power=sigma_b2)
 
 
-# Blocks whose pulse lattice (blocks x interferer symbols x N samples) is
-# held at once. Only memory depends on it: every random value is drawn first.
-_SYNTH_BLOCKS = 256
+# Delay phases per interferer symbol period: synthesize_nb_blocks moves each
+# block's delay to the midpoint of its cell of T / _PHASES. The estimator's
+# expectation then differs from the closed form by at most 1.44e-5 of the
+# profile peak (measured at pulse span 2, roll-off 0.35, 56 kHz, N 102; 1e-11
+# at the defaults), and mc_variance over 10 000 blocks takes 0.32-0.41 s on
+# 2 cores with numpy 2.4, against 3.9-4.5 s with a pulse lattice per block.
+_PHASES = 128
 # Blocks per synthesize_nb_blocks call in _nb_spectra. Each call draws its own
 # delays and symbols, so this fixes how the rng stream maps to blocks.
 _MC_BLOCKS = 2000
@@ -143,16 +152,21 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Interferer sample blocks (num_blocks x N) with QPSK symbols.
 
-    Each block gets a fresh delay uniform in [0, T); the delay's uniform
+    Each block gets a fresh delay xi uniform in [0, T); the delay's uniform
     marginal absorbs the inter-block sample offset, so blocks are mutually
-    independent and identically distributed.
+    independent and identically distributed. The delay is then moved to the
+    midpoint (c + 1/2) T / P of its cell c = min(floor(xi P / T), P - 1),
+    P = _PHASES (polyphase synthesis; harris, *Multirate Signal Processing
+    for Communication Systems*). The pulse is evaluated once per drawn
+    phase, and each phase's blocks take one matrix product with it. The
+    cells are uniform, so the expected |DFT|^2 is the symbol sum averaged
+    over the P midpoints, which is within 1.44e-5 of the closed form's peak
+    (see _PHASES).
     """
     n_sc = cfg.ofdm.num_subcarriers
     t_s = cfg.ofdm.sample_period_s
     big_t = cfg.nb.symbol_period_s
     span = cfg.nb.pulse_span_symbols
-    n = np.arange(n_sc)
-    phase = _carrier(cfg.nb.normalized_freq, n_sc)
     l_lo = -span - 2
     l_hi = int(np.ceil((n_sc - 1) * t_s / big_t)) + span + 2
     ls = np.arange(l_lo, l_hi + 1)
@@ -160,12 +174,16 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     amp = np.sqrt(sigma_b2 / 2.0)
     symbols = amp * ((2 * rng.integers(0, 2, (num_blocks, ls.size)) - 1)
                      + 1j * (2 * rng.integers(0, 2, (num_blocks, ls.size)) - 1))
+    # the clip puts a delay of exactly T, the interval's closed end, in the last cell
+    cell = np.minimum(np.floor(xi * _PHASES / big_t), _PHASES - 1)
+    cells, inverse = np.unique(cell, return_inverse=True)
+    delay = (cells + 0.5) * big_t / _PHASES
+    t = -delay[:, None, None] + np.arange(n_sc) * t_s - ls[None, :, None] * big_t
     out = np.empty((num_blocks, n_sc), dtype=complex)
-    for start in range(0, num_blocks, _SYNTH_BLOCKS):
-        part = slice(start, start + _SYNTH_BLOCKS)
-        t = -xi[part, None, None] + n[None, None, :] * t_s - ls[None, :, None] * big_t
-        out[part] = np.einsum("bl,bln->bn", symbols[part], rrc_pulse(cfg.nb, t)) * phase[None, :]
-    return out
+    for j, lattice in enumerate(rrc_pulse(cfg.nb, t)):
+        rows = inverse == j
+        out[rows] = symbols[rows] @ lattice
+    return out * _carrier(cfg.nb.normalized_freq, n_sc)
 
 
 def _nb_spectra(cfg: SystemConfig, sigma_b2: float, num_blocks: int,

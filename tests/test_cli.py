@@ -344,11 +344,28 @@ class TestUsage:
         ("--grid", ["--trials", "2", "sweep-fn", "--grid", "0.5,abc"]),
     ])
     def test_out_of_range_flag_is_usage_error(self, capsys, tmp_path, flag, argv):
-        if flag != "--workers":
-            argv = ["--workers", "1"] + argv
-        code, out, err = run_cli(capsys, "--output", str(tmp_path / "out.csv"), *argv)
+        # a sweep also gets the global flags it reads, so only flag is out of range
+        if any(arg.startswith("sweep-") for arg in argv):
+            argv = ["--output", str(tmp_path / "out.csv"), *argv]
+            if flag != "--workers":
+                argv = ["--workers", "1", *argv]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"argument {flag}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in ("allocate", "verify", "profile-dump")
+        for flag in ("--trials", "--workers", "--output")
+        if (command, flag) != ("profile-dump", "--output")])
+    def test_unread_global_flag_is_usage_error(self, capsys, tmp_path, command, flag):
+        # a flag the subcommand would ignore is named, not dropped: --output
+        # wrote no file and --trials and --workers changed nothing
+        value = str(tmp_path / "x.csv") if flag == "--output" else "3"
+        code, out, err = run_cli(capsys, flag, value, command)
+        assert code == 2
+        assert f"{command} does not read {flag}" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -390,24 +407,30 @@ _SUBCOMMANDS = {
 
 @st.composite
 def _argv(draw):
-    argv = ["--workers", "1", f"--trials={draw(st.just('2') | _count_text(1, 2))}"]
+    """(command, argv); argv holds only the global flags the command reads."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = []
+    if command.startswith("sweep-"):
+        argv += ["--workers", "1", f"--trials={draw(st.just('2') | _count_text(1, 2))}"]
     if draw(st.booleans()):
         argv.append(f"--seed={draw(_count_text(0, 10) | st.just(str(2 ** 70)))}")
-    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
     argv.append(command)
     for flag, text in _SUBCOMMANDS[command].items():
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(text)}")
-    return argv
+    return command, argv
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_argv())
-def test_hostile_flags_exit_cleanly(capsys, tmp_path, argv):
+@given(drawn=_argv())
+def test_hostile_flags_exit_cleanly(capsys, tmp_path, drawn):
     """Any argv from the flag grammar exits 0, 2 (usage) or 3 (domain), never 1."""
+    command, argv = drawn
     out_csv = tmp_path / "out.csv"
-    code, out, err = run_cli(capsys, "--output", str(out_csv), *argv)
+    if command not in ("allocate", "verify"):
+        argv = ["--output", str(out_csv), *argv]
+    code, out, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3), err
     if code == 0:
         if out.strip() == str(out_csv):
