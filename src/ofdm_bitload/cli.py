@@ -220,14 +220,21 @@ def _cmd_verify(args, cfg: SystemConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parse_args(argv=None) -> argparse.Namespace:
+    """The parsed command line; a global flag that the subcommand does not
+    read is a usage error (exit 2), as is anything argparse rejects."""
     parser = _build_parser()
+    args = parser.parse_args(argv)
+    ignored = [flag for flag in _RUN_FLAGS
+               if getattr(args, flag[2:]) is not None and flag not in args.reads]
+    if ignored:
+        parser.error(f"{args.command} does not read {', '.join(ignored)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
-        ignored = [flag for flag in _RUN_FLAGS
-                   if getattr(args, flag[2:]) is not None and flag not in args.reads]
-        if ignored:
-            parser.error(f"{args.command} does not read {', '.join(ignored)}")
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import AllocationResult, _reduce, allocate
+from .allocator import AllocationResult, _loaded_bits, allocate
 from .channel import _draw_stacked
 from .config import SystemConfig, updated
 from .errors import DomainError
@@ -103,9 +103,8 @@ def _chunk_stats(cfg: SystemConfig, profile: InterferenceProfile,
     s = s2 = stopped = 0
     for a in range(start, stop, _BLOCK):
         g = trial_sinrs(cfg, profile, a, min(a + _BLOCK, stop), base_seed)
-        _, _, _, den, steps = _reduce(g, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
         # a met row carries bits; a stopped row ends with none
-        bits = np.take_along_axis(den, steps[:, None], axis=1)[:, 0].tolist()
+        bits = _loaded_bits(g, cfg.link.target_ber, cfg.ofdm.cp_loss_factor).tolist()
         s += sum(bits)
         s2 += sum(b * b for b in bits)
         stopped += bits.count(0)

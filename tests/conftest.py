@@ -12,6 +12,12 @@ def _reference_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    """Every test runs in its own empty directory, so none writes into the checkout."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def cfg() -> SystemConfig:
     return validate(SystemConfig())

@@ -3,9 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ofdm_bitload import AllocationStatus, Constellation, DomainError, allocate, ber
+from ofdm_bitload.allocator import _HEAD, _loaded_bits, _reduce
 from ofdm_bitload.link import ACTIVE_LADDER
 
 LADDER_DOWN = {Constellation.QAM64: Constellation.QAM16,
@@ -269,6 +270,69 @@ class TestMatchesHeapReference:
         assert result.iterations == iterations
         assert [t[:3] for t in trace] == [t[:3] for t in ref_trace]
         np.testing.assert_array_equal([t[3] for t in trace], [t[3] for t in ref_trace])
+
+
+# rows of one sweep block, by what they stress in _loaded_bits
+SWEEP_ROWS = {
+    "light": lambda rng, n: 10 ** rng.uniform(2, 5, n),       # tens of steps
+    "wide": lambda rng, n: 10 ** rng.uniform(-2, 6, n),
+    "low": lambda rng, n: rng.uniform(0, 3, n),               # the non-monotone ladder
+    "zeros": lambda rng, n: np.zeros(n),                      # every key tied
+    "pool": lambda rng, n: rng.choice(rng.uniform(0, 1e3, 3), n),  # tied keys
+    # BERs that underflow to 0, so the K-th key is often a tied 0
+    "underflow": lambda rng, n: rng.choice([1e5, 1e6, *10 ** rng.uniform(1, 3, 2)], n),
+}
+
+
+def _ulps(x, k):
+    """x moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def sweep_blocks(draw):
+    """A block of SINR rows and a target that puts its rows on the edges of
+    _loaded_bits' exits: the step count near K, the minimum BER near the
+    stopped bound, or a fixed target."""
+    n = draw(st.sampled_from([1, 2, 15, 16, 17, 128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(sorted(SWEEP_ROWS)), min_size=1, max_size=5))
+    g = np.stack([SWEEP_ROWS[kind](rng, n) for kind in kinds])
+    cp_loss = draw(st.sampled_from([0.8, 1.0]))
+    row = draw(st.integers(0, len(g) - 1))
+    ulps = draw(st.integers(-2, 2))
+    how = draw(st.sampled_from(["fixed", "near-k", "near-min", "at-bound"]))
+    table, _, num, den, _ = _reduce(g[row:row + 1], 1.0, cp_loss)
+    if how == "fixed":
+        target = draw(st.sampled_from([1e-1, 1e-2, 1e-4, 1e-6]))
+    elif how == "near-k":
+        # the row's prefix mean just before, at or after step K meets the target there
+        p = min(max(min(_HEAD, 4 * n) + draw(st.integers(-2, 2)), 0), 4 * n - 1)
+        target = num[0, p] / den[0, p]
+    elif how == "near-min":
+        target = table.min()
+    else:  # the target whose stopped bound, target + margin, is the row's minimum BER
+        target = (table.min() - 2.0 ** -46 * n * n) / (1 + 2.0 ** -46)
+    target = _ulps(target, ulps)
+    assume(0 < target < 0.5)
+    return g, target, cp_loss
+
+
+class TestLoadedBits:
+    # N = 16, so K = 4N: 52 keys tied at 0 behind 12 nonzero ones, and the
+    # row meets at step 12, the last one the head trusts
+    @example(block=(np.array([[1e6] * 13 + [30.0] * 3]), 1e-15, 0.8))
+    # N = 17: all 68 keys tied at the 64-QAM BER of SINR 0, just above the target
+    @example(block=(np.zeros((2, 17)), 0.16, 0.8))
+    @settings(max_examples=400, deadline=None)
+    @given(block=sweep_blocks())
+    def test_equals_full_reduction(self, block):
+        g, target, cp_loss = block
+        _, _, _, den, steps = _reduce(g, target, cp_loss)
+        np.testing.assert_array_equal(_loaded_bits(g, target, cp_loss),
+                                      den[np.arange(len(g)), steps])
 
 
 def test_empty_input_rejected():

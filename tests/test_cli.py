@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ofdm_bitload import SystemConfig, calibrated_profile
 from ofdm_bitload.config import config_as_dict
-from ofdm_bitload.cli import _build_parser, main
+from ofdm_bitload.cli import _parse_args, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -71,8 +71,7 @@ class TestSweep:
     @pytest.mark.parametrize("command, grid, kind", [
         ("sweep-fn", "0.5", "fn"), ("sweep-snr", "10", "snr"),
         ("sweep-sigma-h", "0.01", "sigma_h")])
-    def test_default_output_names(self, capsys, tmp_path, monkeypatch, command, grid, kind):
-        monkeypatch.chdir(tmp_path)
+    def test_default_output_names(self, capsys, tmp_path, command, grid, kind):
         code, out, _ = run_cli(capsys, "--trials", "2", "--workers", "1",
                                command, "--grid", grid)
         assert code == 0
@@ -84,9 +83,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("argv", [["--output", "res.json"], ["--output", "RES.JSON"],
                                       ["--output=x.csv.json"]])
-    def test_json_output_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+    def test_json_output_is_usage_error(self, capsys, tmp_path, argv):
         # the sidecar is <stem>.json, so it would overwrite a CSV named so
-        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "--trials", "3", "--workers", "1", *argv,
                                  "sweep-sigma-h")
         assert code == 2
@@ -97,9 +95,8 @@ class TestSweep:
     @pytest.mark.parametrize("argv", [["--output="], ["--output", "d"],
                                       ["--output", "nodir/x.csv"]],
                              ids=["empty", "directory", "missing-parent"])
-    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv):
         # found when parsed, not after the sweep; an empty value is not "no --output"
-        monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         code, out, err = run_cli(capsys, "--trials", "3", "--workers", "1", *argv,
                                  "sweep-snr", "--grid", "10")
@@ -441,17 +438,16 @@ def test_hostile_flags_exit_cleanly(capsys, tmp_path, drawn):
         strict_json(sidecar.read_text())
 
 
-def test_readme_cli_examples_parse(tmp_path, monkeypatch):
-    """Every ``ofdm-bitload`` line of the README parses; none of them runs."""
-    monkeypatch.chdir(tmp_path)  # --output is checked against the working directory
+def test_readme_cli_examples_parse():
+    """Every ``ofdm-bitload`` line of the README parses as ``main`` parses it,
+    unread global flags included; none of them runs."""
     examples = [shlex.split(line, comments=True)[1:]
                 for line in README.read_text(encoding="utf-8").splitlines()
                 if line.startswith("ofdm-bitload ")]
     assert len(examples) >= 6
-    parser = _build_parser()
     for argv in examples:
         try:
-            parser.parse_args(argv)
+            _parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: ofdm-bitload {shlex.join(argv)}")
 

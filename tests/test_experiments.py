@@ -74,10 +74,12 @@ class TestRunTrial:
             assert without.throughput_bits >= with_nb.throughput_bits
 
 
-# a point where most trials stop transmission, and one where ~20 steps suffice
+# a point where most trials stop transmission, one where ~20 steps suffice,
+# and one where ~270 steps take the full sort
 CHUNK_POINTS = {
     "stopped-heavy": {"link.sir_db": -20.0, "link.est_error_var": 1.0},
     "light": {"link.sir_db": 20.0, "link.avg_snr_db": 45.0},
+    "full": {"link.sir_db": 0.0},
 }
 
 
@@ -87,8 +89,8 @@ class TestChunkStats:
     @given(start=st.integers(0, 600), length=st.integers(1, 40),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_sums_over_run_trial(self, point, start, length, seed):
-        # the batched chunk (blocks of rows, one sort and prefix scan each)
-        # against one run_trial per trial
+        # the batched chunk (blocks of rows, each row through one of the
+        # three exits) against one run_trial per trial
         cfg = validate(updated(SystemConfig(), CHUNK_POINTS[point]))
         profile = calibrated_profile(cfg)
         results = [run_trial(cfg, profile, t, seed) for t in range(start, start + length)]

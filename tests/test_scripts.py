@@ -47,9 +47,8 @@ def _load(name):
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_script_writes_its_experiment(monkeypatch, tmp_path, capsys, sweep_reference_csv,
+def test_script_writes_its_experiment(tmp_path, capsys, sweep_reference_csv,
                                       name):
-    monkeypatch.chdir(tmp_path)
     assert _load(name).main(["--trials", "2", "--seed", "5"]) == 0
     expected = EXPECTED[name]
     assert capsys.readouterr().out.split() == [f"{stem}.csv" for stem in expected]
@@ -64,8 +63,7 @@ def test_script_writes_its_experiment(monkeypatch, tmp_path, capsys, sweep_refer
         assert sidecar["config"][key] == value
 
 
-def test_script_stops_at_a_failed_sweep(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_script_stops_at_a_failed_sweep(tmp_path, capsys):
     assert _load("run_fn_sweep").main(["--trials", "0"]) == 2
     assert "argument --trials" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -74,9 +72,8 @@ def test_script_stops_at_a_failed_sweep(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("output", [["--output", "mine.csv"], ["--output=mine.csv"],
                                     ["--out", "mine.csv"]])
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_output_flag_is_usage_error(monkeypatch, tmp_path, capsys, name, output):
+def test_output_flag_is_usage_error(tmp_path, capsys, name, output):
     # the script names its own files, so a given --output could only be ignored
-    monkeypatch.chdir(tmp_path)
     assert _load(name).main(["--trials", "2", *output]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -86,8 +83,7 @@ def test_output_flag_is_usage_error(monkeypatch, tmp_path, capsys, name, output)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_help_shows_the_script_and_the_cli_flags(monkeypatch, tmp_path, capsys, name):
-    monkeypatch.chdir(tmp_path)
+def test_help_shows_the_script_and_the_cli_flags(tmp_path, capsys, name):
     module = _load(name)
     # argparse takes --he for --help, so the script must too
     for flag in ("--help", "--he"):
