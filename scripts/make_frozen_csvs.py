@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Write the frozen sweep CSVs that the test suite compares byte for byte.
+
+The three paper-figure scripts at 20 trials, seed 5 (14 CSVs), and the
+worker-invariance criterion's sweep, 600 trials over SNR 10 and 30 dB at
+seed 2026, which crosses the 256-trial chunk boundary. Only the CSVs are
+frozen, not their JSON sidecars.
+
+    python scripts/make_frozen_csvs.py [DIR]    (default: tests/data/)
+
+Re-freeze only for a change that is deliberately more exact, and record the
+old and new digests in CHANGES.md.
+"""
+
+import os
+import shutil
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from ofdm_bitload import cli
+
+import run_fn_sweep
+import run_sigma_h_sweep
+import run_snr_sweep
+
+DEFAULT_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
+SCRIPT_ARGS = ["--trials", "20", "--seed", "5"]
+# (entry point, argv): each run writes its CSVs, named by itself, to the cwd
+RUNS = [
+    (run_fn_sweep.main, SCRIPT_ARGS),
+    (run_snr_sweep.main, SCRIPT_ARGS),
+    (run_sigma_h_sweep.main, SCRIPT_ARGS),
+    (cli.main, ["--trials", "600", "--seed", "2026", "--workers", "1",
+                "--output", "workers_snr_sweep.csv", "sweep-snr", "--grid", "10,30"]),
+]
+
+
+def write_csvs(out_dir) -> list:
+    """Run every entry of RUNS and copy the CSVs it writes into out_dir."""
+    out_dir, cwd = Path(out_dir).resolve(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
+        os.chdir(tmp)
+        try:
+            for entry, argv in RUNS:
+                if entry(argv):
+                    raise RuntimeError(f"{entry.__module__} {' '.join(argv)} failed")
+        finally:
+            os.chdir(cwd)
+        names = sorted(p.name for p in Path(tmp).glob("*.csv"))
+        for name in names:
+            shutil.copyfile(Path(tmp) / name, out_dir / name)
+    return names
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    out_dir = Path(argv[0]) if argv else DEFAULT_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in write_csvs(out_dir):
+        print(out_dir / name)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

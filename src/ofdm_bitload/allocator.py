@@ -52,7 +52,6 @@ class AllocationStatus(enum.Enum):
 @dataclass(frozen=True)
 class AllocationResult:
     loads: list              # Constellation per subcarrier
-    per_ber: np.ndarray      # BER per subcarrier; NaN where nulled
     mean_ber: float          # NaN when transmission stopped
     throughput_bits: int
     status: AllocationStatus
@@ -94,29 +93,21 @@ def _scan(table: np.ndarray, num0: np.ndarray, order: np.ndarray, target_ber: fl
 
 
 def _full(table: np.ndarray, key: np.ndarray, num0: np.ndarray, target_ber: float):
-    """The stable order of every step, the prefix sums over it and each row's
-    step count, 4N where it stops transmission."""
+    """The greedy reduction of every row (one trial each) of a ``_ber_table``.
+
+    Returns ``(order, num, den, steps)``: the steps s = 4k + j in the greedy's
+    order, one stable sort by descending key (rows x 4N); the bit-weighted BER
+    sum and the active bits after each prefix of that order (rows x 4N+1); and
+    each row's step count, 4N where it stops transmission.
+    """
     order = np.argsort(-key, axis=1, kind="stable")
     num, den, met = _scan(table, num0, order, target_ber)
     steps = np.where(met.any(axis=1), met.argmax(axis=1), key.shape[1])
     return order, num, den, steps
 
 
-def _reduce(g: np.ndarray, target_ber: float, cp_loss: float):
-    """The greedy reduction of every row (one trial each) of ``g``, rows x N.
-
-    Returns ``(table, order, num, den, steps)``: BER per row, subcarrier and
-    ladder level (rows x N x 4); the steps s = 4k + j in the greedy's order
-    (rows x 4N); the bit-weighted BER sum and the active bits after each
-    prefix of that order (rows x 4N+1); and each row's step count, 4N where
-    it stops transmission.
-    """
-    table, key, num0 = _ber_table(g, cp_loss)
-    return (table, *_full(table, key, num0, target_ber))
-
-
 def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray:
-    """Each row's loaded bits, ``den[steps]`` of ``_reduce``, sorting only what
+    """Each row's loaded bits, ``den[steps]`` of ``_full``, sorting only what
     the row needs. Each row takes the first of three exits that applies.
 
     1. Provably stopped: its smallest BER exceeds the target by more than the
@@ -125,7 +116,7 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
     2. Head: fewer than K of its keys exceed the target. The keys strictly
        above the K-th largest are the first steps of the full stable order,
        so the prefix scan over them is the full one's; a row met there is done.
-    3. Full: ``_reduce``'s stable sort and scan, on the same table and keys.
+    3. Full: ``_full``'s stable sort and scan, on the same table and keys.
     """
     rows, n_sc = g.shape
     table, key, num0 = _ber_table(g, cp_loss)
@@ -173,18 +164,19 @@ def allocate(sinrs, target_ber: float, cp_loss: float,
     g = np.asarray(sinrs, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise DomainError("sinrs must be a non-empty 1-D array")
-    table, order, num, den, steps = _reduce(g[None, :], target_ber, cp_loss)
-    table, num, den, p = table[0], num[0].tolist(), den[0].tolist(), int(steps[0])
+    if not 0.0 < target_ber < 0.5:
+        raise DomainError("target_ber must lie in (0, 0.5)")
+    order, num, den, steps = _full(*_ber_table(g[None, :], cp_loss), target_ber)
+    num, den, p = num[0].tolist(), den[0].tolist(), int(steps[0])
     level = [0] * g.size
     for i, k in enumerate((order[0, :p] // 4).tolist(), start=1):
         level[k] += 1
         if trace is not None:
             trace.append((i, k, _LOADS[level[k]],
                           num[i] / den[i] if den[i] else float("nan")))
-    per = np.array([table[k, j] if j < 4 else np.nan for k, j in enumerate(level)])
     met = den[p] > 0
     return AllocationResult(
-        loads=[_LOADS[j] for j in level], per_ber=per,
+        loads=[_LOADS[j] for j in level],
         mean_ber=num[p] / den[p] if met else float("nan"), throughput_bits=den[p],
         status=AllocationStatus.MET if met else AllocationStatus.TRANSMISSION_STOPPED,
         iterations=p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import multiprocessing
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -47,12 +48,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.grid) == 0:
             raise DomainError("sweep grid must be non-empty")
-        if not all(math.isfinite(x) for x in self.grid):
-            raise DomainError("sweep grid values must be finite")
+        if not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in self.grid):
+            raise DomainError("sweep grid values must be finite real numbers")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise DomainError("sweep grid must be strictly increasing")
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        for name, low in (("trials", 1), ("base_seed", 0)):
+            value = getattr(self, name)  # a Python or numpy integer, but not a bool
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise DomainError(f"{name} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,8 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
     """
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    cfg = updated(cfg, spec.fixed)
-    bounds = [(a, min(a + _CHUNK, spec.trials)) for a in range(0, spec.trials, _CHUNK)]
+    cfg, n = updated(cfg, spec.fixed), int(spec.trials)  # int: a numpy count would reach the CSV
+    bounds = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     seeds = [point_seed(spec.base_seed, spec.kind, i) for i in range(len(spec.grid))]
     tasks = []
     for x, seed in zip(spec.grid, seeds):
@@ -132,7 +135,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
             stats = list(pool.map(_chunk_stats, *zip(*tasks)))
     else:
         stats = [_chunk_stats(*task) for task in tasks]
-    records, n = [], spec.trials
+    records = []
     for i, (x, seed) in enumerate(zip(spec.grid, seeds)):
         s, s2, stopped = (sum(c) for c in zip(*stats[i * len(bounds):(i + 1) * len(bounds)]))
         var = (s2 - s * s / n) / (n - 1) if n > 1 else 0.0

@@ -49,7 +49,7 @@ ACTIVE_LADDER = (Constellation.QAM64, Constellation.QAM16,
 
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2) if np.ndim(x) else float(0.5 * erfc(x / _SQRT2))
+    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 def sinr(gain_sq, symbol_power, noise_var, est_error_var, interference_var):

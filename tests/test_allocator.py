@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ofdm_bitload import AllocationStatus, Constellation, DomainError, allocate, ber
-from ofdm_bitload.allocator import _HEAD, _loaded_bits, _reduce
+from ofdm_bitload.allocator import _HEAD, _ber_table, _full, _loaded_bits
 from ofdm_bitload.link import ACTIVE_LADDER
 
 LADDER_DOWN = {Constellation.QAM64: Constellation.QAM16,
@@ -69,7 +69,7 @@ def heap_allocate(gammas, target, cp_loss):
     A max-heap over (BER, index) picks the worst active subcarrier each
     iteration, and the weighted numerator and denominator are updated in
     place, in the float order the merge's prefix sums must reproduce.
-    Returns (loads, per_ber, mean_ber, throughput, status, iterations, trace).
+    Returns (loads, mean_ber, throughput, status, iterations, trace).
     """
     g = np.asarray(gammas, dtype=float)
     n_sc = g.size
@@ -84,11 +84,10 @@ def heap_allocate(gammas, target, cp_loss):
     iterations = 0
     while True:
         if den > 0 and num <= target * den:
-            per = np.where([m > 0 for m in bits], cur, np.nan)
-            return ([Constellation(m) for m in bits], per, num / den, den,
+            return ([Constellation(m) for m in bits], num / den, den,
                     AllocationStatus.MET, iterations, trace)
         if den == 0:
-            return ([Constellation.NULL] * n_sc, np.full(n_sc, np.nan), float("nan"), 0,
+            return ([Constellation.NULL] * n_sc, float("nan"), 0,
                     AllocationStatus.TRANSMISSION_STOPPED, iterations, trace)
         _, k = heapq.heappop(heap)
         m = bits[k]
@@ -205,9 +204,10 @@ class TestProperties:
         if result.status is AllocationStatus.MET:
             assert result.throughput_bits >= 1
             assert result.mean_ber <= target
-            bits = np.array([c.bits_per_symbol for c in result.loads])
-            active = bits > 0
-            recomputed = (bits[active] * result.per_ber[active]).sum() / bits[active].sum()
+            active = [(c.bits_per_symbol, ber(c, g, 0.8))
+                      for c, g in zip(result.loads, gammas) if c is not Constellation.NULL]
+            bits, bers = np.array(active).T
+            recomputed = (bits * bers).sum() / bits.sum()
             assert recomputed == pytest.approx(result.mean_ber)
         else:
             assert result.throughput_bits == 0
@@ -260,10 +260,9 @@ class TestMatchesHeapReference:
     def test_equal_to_heap_loop(self, gammas, target):
         trace = []
         result = allocate(gammas, target, 0.8, trace=trace)
-        loads, per, mean, throughput, status, iterations, ref_trace = \
+        loads, mean, throughput, status, iterations, ref_trace = \
             heap_allocate(gammas, target, 0.8)
         assert result.loads == loads
-        np.testing.assert_array_equal(result.per_ber, per)  # NaN where nulled
         assert result.mean_ber == mean or (np.isnan(result.mean_ber) and np.isnan(mean))
         assert result.throughput_bits == throughput
         assert result.status is status
@@ -304,7 +303,8 @@ def sweep_blocks(draw):
     row = draw(st.integers(0, len(g) - 1))
     ulps = draw(st.integers(-2, 2))
     how = draw(st.sampled_from(["fixed", "near-k", "near-min", "at-bound"]))
-    table, _, num, den, _ = _reduce(g[row:row + 1], 1.0, cp_loss)
+    table, key, num0 = _ber_table(g[row:row + 1], cp_loss)
+    _, num, den, _ = _full(table, key, num0, 1.0)
     if how == "fixed":
         target = draw(st.sampled_from([1e-1, 1e-2, 1e-4, 1e-6]))
     elif how == "near-k":
@@ -330,7 +330,7 @@ class TestLoadedBits:
     @given(block=sweep_blocks())
     def test_equals_full_reduction(self, block):
         g, target, cp_loss = block
-        _, _, _, den, steps = _reduce(g, target, cp_loss)
+        _, _, den, steps = _full(*_ber_table(g, cp_loss), target)
         np.testing.assert_array_equal(_loaded_bits(g, target, cp_loss),
                                       den[np.arange(len(g)), steps])
 
@@ -338,6 +338,14 @@ class TestLoadedBits:
 def test_empty_input_rejected():
     with pytest.raises(DomainError):
         allocate(np.array([]), 1e-4, 0.8)
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, 0.5, -1e-4])
+def test_target_ber_outside_open_interval_rejected(target):
+    # the range validate() enforces for link.target_ber; a NaN target would
+    # otherwise never be met and silently report a stop
+    with pytest.raises(DomainError, match="target_ber"):
+        allocate(np.ones(4), target, 0.8)
 
 
 def test_nan_sinr_rejected():

@@ -117,11 +117,29 @@ class TestSweepSpec:
             SweepSpec(SweepKind.SNR, (0.0,), 0, 0)
 
     @pytest.mark.parametrize("grid", [(float("nan"), 1.0), (0.0, float("inf")),
-                                      (float("nan"),)])
+                                      (float("nan"),), ("a",), (0.0, "5"), (None,), (1j,)])
     def test_non_finite_grid(self, grid):
-        # "b <= a" is False for NaN, so the ordering check alone lets it through
+        # "b <= a" is False for NaN, so the ordering check alone lets it through;
+        # a value that is not a real number would raise TypeError there
         with pytest.raises(DomainError, match="finite"):
             SweepSpec(SweepKind.SNR, grid, 10, 0)
+
+    @pytest.mark.parametrize("trials", [2.5, 10.0, True, np.bool_(True), "10"])
+    def test_trials_not_a_positive_integer(self, trials):
+        with pytest.raises(DomainError, match="trials"):
+            SweepSpec(SweepKind.SNR, (0.0,), trials, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, False, "0"])
+    def test_base_seed_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError, match="base_seed"):
+            SweepSpec(SweepKind.SNR, (0.0,), 10, seed)
+
+    def test_numpy_integers_count(self, base_cfg):
+        # and give the same record, down to its reprs, which the CSV writes
+        spec = SweepSpec(SweepKind.SNR, (20.0,), np.int64(3), np.uint32(5))
+        [record] = run_sweep(spec, base_cfg)
+        assert repr(record) == repr(run_sweep(SweepSpec(SweepKind.SNR, (20.0,), 3, 5),
+                                              base_cfg)[0])
 
 
 class TestRunSweep:

@@ -1,4 +1,4 @@
-"""The scripts: the paper-figure sweeps and the golden-value generator.
+"""The scripts: the paper-figure sweeps and the golden and frozen-CSV generators.
 
 Each figure script is a loop over one CLI sweep subcommand. Its ``main`` runs
 in-process in a temporary directory at 2 trials; every CSV it writes must
@@ -16,6 +16,7 @@ from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, run_sweep
 from test_acceptance import GOLDEN_AVG_THROUGHPUT_BITS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+FROZEN = Path(__file__).resolve().parent / "data"
 FN_GRID = tuple(np.round(np.arange(0.40, 0.701, 0.02), 10))
 SNR_GRID = tuple(float(x) for x in range(0, 41, 5))
 SIRS = (-20.0, -10.0, 0.0, 10.0, 20.0)
@@ -101,3 +102,22 @@ def test_make_golden_prints_the_frozen_value(capsys):
     printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
                    if not line.startswith("#"))
     assert float(printed["GOLDEN_AVG_THROUGHPUT_BITS"]) == GOLDEN_AVG_THROUGHPUT_BITS
+
+
+def test_sweep_csvs_match_their_frozen_bytes(tmp_path):
+    """The sweep CSVs of scripts/make_frozen_csvs.py, byte for byte as frozen in
+    tests/data/ with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+
+    Outputs stay bit-identical, so a mismatch is a fault. The files are
+    re-frozen (by running that script) only for a change that is deliberately
+    more exact, with the old and new digests recorded in CHANGES.md.
+    """
+    names = _load("make_frozen_csvs").write_csvs(tmp_path)
+    assert names == sorted(p.name for p in FROZEN.glob("*.csv"))
+    for name in names:
+        got = (tmp_path / name).read_text().splitlines()
+        want = (FROZEN / name).read_text().splitlines()
+        diff = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                    min(len(got), len(want)))
+        assert (tmp_path / name).read_bytes() == (FROZEN / name).read_bytes(), \
+            f"{name} line {diff + 1}: {got[diff:diff + 1]} != frozen {want[diff:diff + 1]}"
