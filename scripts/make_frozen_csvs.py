@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Write the frozen sweep CSVs that the test suite compares byte for byte.
 
-The three paper-figure scripts at 20 trials, seed 5 (14 CSVs), and the
+The three paper-figure scripts at 20 trials, seed 5 (14 CSVs); the
 worker-invariance criterion's sweep, 600 trials over SNR 10 and 30 dB at
-seed 2026, which crosses the 256-trial chunk boundary. Only the CSVs are
-frozen, not their JSON sidecars.
+seed 2026, which crosses the 256-trial chunk boundary; and the golden
+Table-1 point, 10^4 trials at SNR 20 dB, SIR 0 dB, F_n 0.52, seed 42. Only
+the CSVs are frozen, not their JSON sidecars.
 
     python scripts/make_frozen_csvs.py [DIR]    (default: tests/data/)
 
@@ -34,6 +35,8 @@ RUNS = [
     (run_sigma_h_sweep.main, SCRIPT_ARGS),
     (cli.main, ["--trials", "600", "--seed", "2026", "--workers", "1",
                 "--output", "workers_snr_sweep.csv", "sweep-snr", "--grid", "10,30"]),
+    (cli.main, ["--trials", "10000", "--seed", "42", "--workers", "1",
+                "--output", "golden_snr_sweep.csv", "sweep-snr", "--grid", "20"]),
 ]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .allocator import AllocationResult, _loaded_bits, allocate
 from .channel import _draw_stacked
-from .config import SystemConfig, updated
+from .config import _KEY_MAP, SystemConfig, updated
 from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
@@ -56,6 +56,11 @@ class SweepSpec:
             value = getattr(self, name)  # a Python or numpy integer, but not a bool
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
                 raise DomainError(f"{name} must be an integer >= {low}")
+        for key in self.fixed:  # keys only: run_sweep judges a value against its cfg
+            if key not in _KEY_MAP:
+                raise DomainError(f"unknown config key: {key}")
+            if key == self.kind.value:
+                raise DomainError(f"fixed sets {key}, which the sweep's grid sets")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,3 +40,9 @@ def sweep_reference_csv():
     names = [f.name for f in dataclasses.fields(SweepRecord)]
     return lambda records: _reference_csv(
         names, ([getattr(r, name) for name in names] for r in records))
+
+
+@pytest.fixture
+def frozen_dir() -> Path:
+    """tests/data/: the sweep CSVs that scripts/make_frozen_csvs.py froze."""
+    return Path(__file__).resolve().parent / "data"

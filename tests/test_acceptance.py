@@ -31,11 +31,6 @@ SNR_GRID_SATURATION = tuple(float(x) for x in range(45, 61, 5))
 PERIOD_SHIFT = 20
 SEED = 2026
 
-# frozen 10^4-trial golden value; regenerate with scripts/make_golden.py
-GOLDEN_SEED = 42
-GOLDEN_AVG_THROUGHPUT_BITS = 276.3584
-GOLDEN_STOPPED_FRACTION = 0.0
-
 
 def _stat_nondecreasing(records):
     """Non-decreasing allowing 2 combined standard errors of Monte Carlo slack."""
@@ -327,19 +322,18 @@ def test_criterion_08_estimation_error_degrades_throughput():
     assert time.monotonic() - start < 300.0
 
 
-def test_criterion_09_determinism_across_workers(tmp_path, capsys):
-    csvs = []
-    for workers in ("1", "2"):
-        csvs.append(tmp_path / f"workers{workers}.csv")
-        assert main(["--trials", "600", "--seed", str(SEED), "--workers", workers,
-                     "--output", str(csvs[-1]), "sweep-snr", "--grid", "10,30"]) == 0
-    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+def test_criterion_09_determinism_across_workers(tmp_path, frozen_dir):
+    # the 1-worker run is the frozen CSV, which test_scripts regenerates
+    csv = tmp_path / "workers2.csv"
+    assert main(["--trials", "600", "--seed", str(SEED), "--workers", "2",
+                 "--output", str(csv), "sweep-snr", "--grid", "10,30"]) == 0
+    assert csv.read_bytes() == (frozen_dir / "workers_snr_sweep.csv").read_bytes()
 
 
-def test_criterion_10_golden_regression():
+def test_criterion_10_golden_regression(frozen_dir, sweep_reference_csv):
+    # the Table-1 point frozen by scripts/make_frozen_csvs.py, every field of it
     start = time.monotonic()
-    spec = SweepSpec(SweepKind.SNR, (20.0,), 10_000, GOLDEN_SEED)
-    record = run_sweep(spec, BASE)[0]
-    assert record.avg_throughput_bits == GOLDEN_AVG_THROUGHPUT_BITS
-    assert record.stopped_fraction == GOLDEN_STOPPED_FRACTION
+    record = run_sweep(SweepSpec(SweepKind.SNR, (20.0,), 10_000, 42), BASE)[0]
+    assert sweep_reference_csv([record]).encode() \
+        == (frozen_dir / "golden_snr_sweep.csv").read_bytes()
     assert time.monotonic() - start < 120.0

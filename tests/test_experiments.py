@@ -87,7 +87,7 @@ class TestChunkStats:
     @pytest.mark.parametrize("point", sorted(CHUNK_POINTS))
     @settings(max_examples=12, deadline=None)
     @given(start=st.integers(0, 600), length=st.integers(1, 40),
-           seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 64 - 1))
     def test_equals_sums_over_run_trial(self, point, start, length, seed):
         # the batched chunk (blocks of rows, each row through one of the
         # three exits) against one run_trial per trial
@@ -133,6 +133,19 @@ class TestSweepSpec:
     def test_base_seed_not_a_nonnegative_integer(self, seed):
         with pytest.raises(DomainError, match="base_seed"):
             SweepSpec(SweepKind.SNR, (0.0,), 10, seed)
+
+    @pytest.mark.parametrize("kind, key", [(kind, kind.value) for kind in SweepKind] + [
+        (SweepKind.SNR, key) for key in ("link", "avg_snr_db", "link.avg_snr")])
+    def test_fixed_key_is_a_config_key_the_grid_does_not_set(self, kind, key):
+        # the grid would overwrite its own key without a word
+        with pytest.raises(DomainError, match="grid sets|unknown config key"):
+            SweepSpec(kind, (0.0,), 10, 0, fixed={"link.sir_db": 0.0, key: 3.0})
+
+    def test_fixed_value_is_checked_by_run_sweep(self, base_cfg):
+        # a value is judged against the caller's config, before any trial runs
+        spec = SweepSpec(SweepKind.SNR, (0.0,), 10, 0, fixed={"link.target_ber": 0.7})
+        with pytest.raises(DomainError, match="target_ber"):
+            run_sweep(spec, base_cfg)
 
     def test_numpy_integers_count(self, base_cfg):
         # and give the same record, down to its reprs, which the CSV writes
@@ -191,9 +204,9 @@ class TestRunSweep:
             run_sweep(spec, base_cfg, workers=workers)
 
     def test_bad_fixed_key_rejected(self, base_cfg):
-        spec = SweepSpec(SweepKind.SNR, (20.0,), 5, 0, fixed={"nope.nope": 1.0})
         with pytest.raises(DomainError):
-            run_sweep(spec, base_cfg)
+            run_sweep(SweepSpec(SweepKind.SNR, (20.0,), 5, 0, fixed={"nope.nope": 1.0}),
+                      base_cfg)
 
 
 class TestOutputs:

@@ -1,22 +1,25 @@
-"""The scripts: the paper-figure sweeps and the golden and frozen-CSV generators.
+"""The scripts: the paper-figure sweeps and the frozen-CSV generator.
 
 Each figure script is a loop over one CLI sweep subcommand. Its ``main`` runs
 in-process in a temporary directory at 2 trials; every CSV it writes must
-equal the sweep of the experiment it reproduces.
+equal the sweep of the experiment it reproduces. The generator's CSVs must
+equal, byte for byte, the ones frozen in tests/data/.
 """
 
 import importlib.util
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, run_sweep
-from test_acceptance import GOLDEN_AVG_THROUGHPUT_BITS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-FROZEN = Path(__file__).resolve().parent / "data"
+# the versions tests/data/ was frozen under; the CSV bytes may change with them
+FROZEN_VERSIONS = {"Python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 FN_GRID = tuple(np.round(np.arange(0.40, 0.701, 0.02), 10))
 SNR_GRID = tuple(float(x) for x in range(0, 41, 5))
 SIRS = (-20.0, -10.0, 0.0, 10.0, 20.0)
@@ -96,28 +99,26 @@ def test_help_shows_the_script_and_the_cli_flags(tmp_path, capsys, name):
         assert list(tmp_path.iterdir()) == []
 
 
-def test_make_golden_prints_the_frozen_value(capsys):
-    # the acceptance suite's golden value is pasted from this script's output
-    _load("make_golden").main()
-    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
-                   if not line.startswith("#"))
-    assert float(printed["GOLDEN_AVG_THROUGHPUT_BITS"]) == GOLDEN_AVG_THROUGHPUT_BITS
-
-
-def test_sweep_csvs_match_their_frozen_bytes(tmp_path):
+def test_sweep_csvs_match_their_frozen_bytes(tmp_path, frozen_dir):
     """The sweep CSVs of scripts/make_frozen_csvs.py, byte for byte as frozen in
-    tests/data/ with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+    tests/data/ under FROZEN_VERSIONS.
 
-    Outputs stay bit-identical, so a mismatch is a fault. The files are
+    Outputs stay bit-identical, so a mismatch under those versions is a fault;
+    the message names the running versions next to them. The files are
     re-frozen (by running that script) only for a change that is deliberately
     more exact, with the old and new digests recorded in CHANGES.md.
     """
     names = _load("make_frozen_csvs").write_csvs(tmp_path)
-    assert names == sorted(p.name for p in FROZEN.glob("*.csv"))
+    assert names == sorted(p.name for p in frozen_dir.glob("*.csv"))
+    running = {"Python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
+    versions = ", ".join(f"{lib} {running[lib]} (frozen under {frozen})"
+                         for lib, frozen in FROZEN_VERSIONS.items())
     for name in names:
         got = (tmp_path / name).read_text().splitlines()
-        want = (FROZEN / name).read_text().splitlines()
+        want = (frozen_dir / name).read_text().splitlines()
         diff = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
                     min(len(got), len(want)))
-        assert (tmp_path / name).read_bytes() == (FROZEN / name).read_bytes(), \
-            f"{name} line {diff + 1}: {got[diff:diff + 1]} != frozen {want[diff:diff + 1]}"
+        assert (tmp_path / name).read_bytes() == (frozen_dir / name).read_bytes(), \
+            f"{name} line {diff + 1}: {got[diff:diff + 1]} != frozen " \
+            f"{want[diff:diff + 1]}; running {versions}"
