@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo trials per grid point, sweeps only "
                              f"(default {_DEFAULT_TRIALS})")
     parser.add_argument("--workers", type=at_least(1), default=None,
-                        help="parallel worker processes, sweeps only (default: CPU count)")
+                        help="parallel worker processes, sweeps only; at most the CPU count "
+                             "(default: CPU count)")
     parser.add_argument("--output", type=csv_path, default=None,
                         help="output CSV path, sweeps and profile-dump only; "
                              "its sidecar is <stem>.json")

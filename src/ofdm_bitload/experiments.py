@@ -13,6 +13,7 @@ import enum
 import math
 import multiprocessing
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -123,9 +124,12 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[Swee
     """One SweepRecord per grid value, each under its own calibrated profile.
 
     With ``workers`` > 1 and several chunks per point, one pool runs them all.
+    The pool has at most one process per CPU: the records are the same for
+    any worker count, and a spawned pool starts up to ``max_workers`` processes.
     """
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     cfg, n = updated(cfg, spec.fixed), int(spec.trials)  # int: a numpy count would reach the CSV
     bounds = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     seeds = [point_seed(spec.base_seed, spec.kind, i) for i in range(len(spec.grid))]

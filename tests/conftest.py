@@ -1,10 +1,13 @@
 import dataclasses
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdm_bitload import SweepRecord, SystemConfig, validate
+from ofdm_bitload import SweepRecord, SystemConfig
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _reference_csv(header, rows) -> str:
@@ -19,9 +22,10 @@ def _in_tmp_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
-@pytest.fixture
-def cfg() -> SystemConfig:
-    return validate(SystemConfig())
+@pytest.fixture(scope="session")
+def base_cfg() -> SystemConfig:
+    # frozen, and valid once built, so one instance serves every test
+    return SystemConfig()
 
 
 @pytest.fixture
@@ -46,3 +50,20 @@ def sweep_reference_csv():
 def frozen_dir() -> Path:
     """tests/data/: the sweep CSVs that scripts/make_frozen_csvs.py froze."""
     return Path(__file__).resolve().parent / "data"
+
+
+@pytest.fixture
+def load_script(monkeypatch):
+    """Import scripts/<name>.py as a module, as python runs the script.
+
+    A script imports its shared _curves module from its own directory, which
+    python puts first on sys.path when it runs the script.
+    """
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load

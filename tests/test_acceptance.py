@@ -4,23 +4,24 @@ Each test carries its own runtime budget.
 """
 
 import itertools
+import platform
 import time
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
-                          InterferenceProfile, SweepKind, SweepSpec,
-                          SystemConfig, allocate, analytic_variance, ber,
-                          draw_realization, mc_variance, measure_ber, run_sweep,
-                          updated, validate)
+from ofdm_bitload import (AllocationStatus, Constellation, InterferenceProfile,
+                          SweepKind, SweepSpec, SystemConfig, allocate,
+                          analytic_variance, ber, draw_realization, mc_variance,
+                          measure_ber, run_sweep, updated)
 from ofdm_bitload.cli import main
 from ofdm_bitload.experiments import run_trial
 from ofdm_bitload.link import ACTIVE_LADDER
 
-BASE = validate(SystemConfig())
+BASE = SystemConfig()
 SIRS = (-20.0, -10.0, 0.0, 10.0, 20.0)
 FN_GRID = tuple(np.round(np.arange(0.40, 0.701, 0.02), 10))
 SNR_GRID = tuple(float(x) for x in range(0, 41, 5))
@@ -30,6 +31,8 @@ SNR_GRID_SATURATION = tuple(float(x) for x in range(45, 61, 5))
 # F_n shift, in subcarriers, of criterion 6's periodicity pairs
 PERIOD_SHIFT = 20
 SEED = 2026
+# the versions tests/data/ was frozen under; the CSV bytes may change with them
+FROZEN_VERSIONS = {"Python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 
 def _stat_nondecreasing(records):
@@ -309,8 +312,8 @@ def test_criterion_08_estimation_error_degrades_throughput():
     # shared seeds must reproduce every allocation bit for bit
     v, w = 0.01, 0.1
     n_sc = BASE.ofdm.num_subcarriers
-    cfg_v = validate(updated(BASE, {"link.est_error_var": v}))
-    cfg_w = validate(updated(BASE, {"link.est_error_var": w}))
+    cfg_v = updated(BASE, {"link.est_error_var": v})
+    cfg_w = updated(BASE, {"link.est_error_var": w})
     for trial in range(20):
         a = run_trial(cfg_v, InterferenceProfile(np.full(n_sc, w), float("nan")), trial, SEED)
         b = run_trial(cfg_w, InterferenceProfile(np.full(n_sc, v), float("nan")), trial, SEED)
@@ -323,17 +326,36 @@ def test_criterion_08_estimation_error_degrades_throughput():
 
 
 def test_criterion_09_determinism_across_workers(tmp_path, frozen_dir):
-    # the 1-worker run is the frozen CSV, which test_scripts regenerates
+    # the 1-worker run is the frozen CSV, which criterion 10 regenerates
     csv = tmp_path / "workers2.csv"
     assert main(["--trials", "600", "--seed", str(SEED), "--workers", "2",
                  "--output", str(csv), "sweep-snr", "--grid", "10,30"]) == 0
     assert csv.read_bytes() == (frozen_dir / "workers_snr_sweep.csv").read_bytes()
 
 
-def test_criterion_10_golden_regression(frozen_dir, sweep_reference_csv):
-    # the Table-1 point frozen by scripts/make_frozen_csvs.py, every field of it
+def test_criterion_10_golden_regression(tmp_path, frozen_dir, load_script):
+    """The sweep CSVs of scripts/make_frozen_csvs.py, byte for byte as frozen in
+    tests/data/ under FROZEN_VERSIONS: the golden Table-1 point, criterion 9's
+    1-worker sweep and the paper-figure scripts' curves.
+
+    Outputs stay bit-identical, so a mismatch under those versions is a fault;
+    the message names the running versions next to them. The files are
+    re-frozen (by running that script) only for a change that is deliberately
+    more exact, with the old and new digests recorded in CHANGES.md.
+    """
     start = time.monotonic()
-    record = run_sweep(SweepSpec(SweepKind.SNR, (20.0,), 10_000, 42), BASE)[0]
-    assert sweep_reference_csv([record]).encode() \
-        == (frozen_dir / "golden_snr_sweep.csv").read_bytes()
+    names = load_script("make_frozen_csvs").write_csvs(tmp_path)
+    assert names == sorted(p.name for p in frozen_dir.glob("*.csv"))
+    running = {"Python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
+    versions = ", ".join(f"{lib} {running[lib]} (frozen under {frozen})"
+                         for lib, frozen in FROZEN_VERSIONS.items())
+    for name in names:
+        got = (tmp_path / name).read_text().splitlines()
+        want = (frozen_dir / name).read_text().splitlines()
+        diff = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                    min(len(got), len(want)))
+        assert (tmp_path / name).read_bytes() == (frozen_dir / name).read_bytes(), \
+            f"{name} line {diff + 1}: {got[diff:diff + 1]} != frozen " \
+            f"{want[diff:diff + 1]}; running {versions}"
     assert time.monotonic() - start < 120.0

@@ -15,18 +15,24 @@ LADDER_DOWN = {Constellation.QAM64: Constellation.QAM16,
                Constellation.BPSK: Constellation.NULL}
 
 
-def oracle_allocate(gammas, target, cp_loss):
+def ber_tables(gammas, cp_loss):
+    """Each active level's BER per subcarrier, one scalar ber() call each."""
+    return {c: [ber(c, g, cp_loss) for g in gammas] for c in ACTIVE_LADDER}
+
+
+def oracle_allocate(tables, target):
     """Independent step-by-step reference: recompute everything each pass.
 
-    Deliberately naive (argmax over a recomputed BER list per iteration);
-    returns the full victim trace alongside the final state.
+    Deliberately naive (argmax over the active BERs, looked up in the
+    per-level tables, per iteration); returns the full victim trace alongside
+    the final state.
     """
-    loads = [Constellation.QAM64] * len(gammas)
+    loads = [Constellation.QAM64] * len(tables[Constellation.QAM64])
     trace = []
     iterations = 0
     while True:
-        bers = [ber(c, g, cp_loss) if c is not Constellation.NULL else None
-                for c, g in zip(loads, gammas)]
+        bers = [tables[c][k] if c is not Constellation.NULL else None
+                for k, c in enumerate(loads)]
         num = sum(c.bits_per_symbol * b for c, b in zip(loads, bers) if b is not None)
         den = sum(c.bits_per_symbol for c in loads)
         if den > 0 and num <= target * den:
@@ -41,26 +47,6 @@ def oracle_allocate(gammas, target, cp_loss):
         loads[victim] = LADDER_DOWN[loads[victim]]
         iterations += 1
         trace.append((iterations, victim, loads[victim]))
-
-
-def oracle_allocate_tables(tables, target):
-    """Same greedy loop driven by externally supplied per-level BER tables."""
-    n = len(tables[Constellation.QAM64])
-    loads = [Constellation.QAM64] * n
-    victims = []
-    while True:
-        active = [(tables[c][k], -k) for k, c in enumerate(loads)
-                  if c is not Constellation.NULL]
-        num = sum(c.bits_per_symbol * tables[c][k] for k, c in enumerate(loads)
-                  if c is not Constellation.NULL)
-        den = sum(c.bits_per_symbol for c in loads)
-        if den > 0 and num <= target * den:
-            return victims
-        if den == 0:
-            return victims
-        victim = -max(active)[1]
-        loads[victim] = LADDER_DOWN[loads[victim]]
-        victims.append(victim)
 
 
 def heap_allocate(gammas, target, cp_loss):
@@ -130,7 +116,7 @@ class TestKnownInstances:
         gammas = [300.0, 100.0, 30.0, 10.0]
         trace = []
         result = allocate(gammas, 1e-4, 0.8, trace=trace)
-        expected = oracle_allocate(gammas, 1e-4, 0.8)
+        expected = oracle_allocate(ber_tables(gammas, 0.8), 1e-4)
         assert result.status is AllocationStatus.MET
         assert expected["status"] == "met"
         assert [(i, k, c) for i, k, c, _ in trace] == expected["trace"]
@@ -190,7 +176,7 @@ class TestProperties:
     @given(gammas=sinr_arrays(), target=st.sampled_from([1e-2, 1e-3, 1e-4]))
     def test_matches_naive_oracle(self, gammas, target):
         result = allocate(gammas, target, 0.8)
-        expected = oracle_allocate(gammas, target, 0.8)
+        expected = oracle_allocate(ber_tables(gammas, 0.8), target)
         assert result.loads == expected["loads"]
         assert result.iterations == expected["iterations"]
         assert result.throughput_bits == expected["throughput"]
@@ -228,12 +214,10 @@ class TestProperties:
     def test_victim_choice_scale_invariant(self, gammas, factor):
         # scaling every BER (and the target) by the same factor must not
         # change which subcarrier the greedy picks at any step
-        tables = {c: [ber(c, g, 0.8) for g in gammas]
-                  for c in (Constellation.QAM64, Constellation.QAM16,
-                            Constellation.QPSK, Constellation.BPSK)}
+        tables = ber_tables(gammas, 0.8)
         scaled = {c: [factor * b for b in bs] for c, bs in tables.items()}
-        assert oracle_allocate_tables(tables, 1e-4) \
-            == oracle_allocate_tables(scaled, factor * 1e-4)
+        assert oracle_allocate(tables, 1e-4)["trace"] \
+            == oracle_allocate(scaled, factor * 1e-4)["trace"]
 
 
 @st.composite

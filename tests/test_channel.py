@@ -30,23 +30,23 @@ class TestPdpConstant:
 
 
 class TestDrawRealization:
-    def test_deterministic_given_seed(self, cfg):
-        a = draw_realization(cfg.channel, cfg.ofdm, _stream(7))
-        b = draw_realization(cfg.channel, cfg.ofdm, _stream(7))
+    def test_deterministic_given_seed(self, base_cfg):
+        a = draw_realization(base_cfg.channel, base_cfg.ofdm, _stream(7))
+        b = draw_realization(base_cfg.channel, base_cfg.ofdm, _stream(7))
         np.testing.assert_array_equal(a.freq_response, b.freq_response)
 
-    def test_distinct_seeds_differ(self, cfg):
-        a = draw_realization(cfg.channel, cfg.ofdm, _stream(1))
-        b = draw_realization(cfg.channel, cfg.ofdm, _stream(2))
+    def test_distinct_seeds_differ(self, base_cfg):
+        a = draw_realization(base_cfg.channel, base_cfg.ofdm, _stream(1))
+        b = draw_realization(base_cfg.channel, base_cfg.ofdm, _stream(2))
         assert not np.array_equal(a.freq_response, b.freq_response)
 
-    def test_single_tap_is_flat(self, cfg):
+    def test_single_tap_is_flat(self, base_cfg):
         flat = ChannelConfig(num_taps=1, decay_factor=0.2)
-        real = draw_realization(flat, cfg.ofdm, _stream(0))
+        real = draw_realization(flat, base_cfg.ofdm, _stream(0))
         np.testing.assert_allclose(real.gains_sq, real.gains_sq[0])
 
-    def test_gains_sq_matches_freq_response(self, cfg, rng):
-        real = draw_realization(cfg.channel, cfg.ofdm, rng)
+    def test_gains_sq_matches_freq_response(self, base_cfg, rng):
+        real = draw_realization(base_cfg.channel, base_cfg.ofdm, rng)
         np.testing.assert_array_equal(real.gains_sq, np.abs(real.freq_response) ** 2)
 
     @settings(max_examples=25, deadline=None)
@@ -64,24 +64,24 @@ class TestDrawRealization:
 
 
 class TestStatistics:
-    def test_tap_variances_within_three_stderr(self, cfg):
+    def test_tap_variances_within_three_stderr(self, base_cfg):
         n_draws = 20_000
         rng = _stream(99)
-        var = tap_variances(cfg.channel)
+        var = tap_variances(base_cfg.channel)
         std = np.sqrt(var / 2.0)
-        taps = std * (rng.standard_normal((n_draws, cfg.channel.num_taps))
-                      + 1j * rng.standard_normal((n_draws, cfg.channel.num_taps)))
+        taps = std * (rng.standard_normal((n_draws, base_cfg.channel.num_taps))
+                      + 1j * rng.standard_normal((n_draws, base_cfg.channel.num_taps)))
         sample_var = (np.abs(taps) ** 2).mean(axis=0)
         # |h|^2 is exponential with mean var, so stderr of the mean is var/sqrt(n)
         stderr = var / np.sqrt(n_draws)
         np.testing.assert_array_less(np.abs(sample_var - var), 3 * stderr)
 
-    def test_mean_subcarrier_gain_near_unity(self, cfg):
+    def test_mean_subcarrier_gain_near_unity(self, base_cfg):
         rng = _stream(5)
-        acc = np.zeros(cfg.ofdm.num_subcarriers)
+        acc = np.zeros(base_cfg.ofdm.num_subcarriers)
         n_draws = 4000
         for _ in range(n_draws):
-            acc += draw_realization(cfg.channel, cfg.ofdm, rng).gains_sq
+            acc += draw_realization(base_cfg.channel, base_cfg.ofdm, rng).gains_sq
         mean_gain = acc / n_draws
         assert mean_gain.min() > 0.9
         assert mean_gain.max() < 1.1

@@ -9,20 +9,20 @@ from ofdm_bitload.config import parse_config
 
 
 class TestDerivedQuantities:
-    def test_baseline_subcarrier_spacing(self, cfg):
-        assert round(cfg.ofdm.subcarrier_spacing_hz / 1e3, 4) == 9.7656
+    def test_baseline_subcarrier_spacing(self, base_cfg):
+        assert round(base_cfg.ofdm.subcarrier_spacing_hz / 1e3, 4) == 9.7656
 
-    def test_baseline_durations(self, cfg):
-        assert cfg.ofdm.useful_symbol_s == pytest.approx(102.4e-6)
-        assert cfg.ofdm.sample_period_s == pytest.approx(0.8e-6)
-        assert cfg.nb.symbol_period_s == pytest.approx(90e-6)
+    def test_baseline_durations(self, base_cfg):
+        assert base_cfg.ofdm.useful_symbol_s == pytest.approx(102.4e-6)
+        assert base_cfg.ofdm.sample_period_s == pytest.approx(0.8e-6)
+        assert base_cfg.nb.symbol_period_s == pytest.approx(90e-6)
 
-    def test_spacing_times_n_is_bandwidth(self, cfg):
-        assert cfg.ofdm.subcarrier_spacing_hz * cfg.ofdm.num_subcarriers \
-            == cfg.ofdm.bandwidth_hz
+    def test_spacing_times_n_is_bandwidth(self, base_cfg):
+        assert base_cfg.ofdm.subcarrier_spacing_hz * base_cfg.ofdm.num_subcarriers \
+            == base_cfg.ofdm.bandwidth_hz
 
-    def test_carrier_offset(self, cfg):
-        assert cfg.carrier_offset_hz == pytest.approx(0.52 * 1.25e6)
+    def test_carrier_offset(self, base_cfg):
+        assert base_cfg.carrier_offset_hz == pytest.approx(0.52 * 1.25e6)
 
 
 class TestCpLossFactor:
@@ -36,10 +36,10 @@ class TestValidation:
     def test_baseline_accepted(self):
         validate(SystemConfig())
 
-    def test_zero_target_ber_rejected(self, cfg):
+    def test_zero_target_ber_rejected(self, base_cfg):
         # a SystemConfig validates itself, so building the bad one raises
         with pytest.raises(DomainError, match="target_ber"):
-            updated(cfg, {"link.target_ber": 0.0})
+            updated(base_cfg, {"link.target_ber": 0.0})
 
     @pytest.mark.parametrize("key,value", [
         ("ofdm.bandwidth_hz", -1.0),
@@ -58,37 +58,37 @@ class TestValidation:
         ("link.avg_snr_db", -4000.0),
         ("link.sir_db", -4000.0),
     ])
-    def test_invariant_violations(self, cfg, key, value):
+    def test_invariant_violations(self, base_cfg, key, value):
         with pytest.raises(DomainError):
-            validate(updated(cfg, {key: value}))
+            validate(updated(base_cfg, {key: value}))
 
     @pytest.mark.parametrize("key", [
         "ofdm.bandwidth_hz", "nb.bandwidth_hz", "nb.normalized_freq",
         "channel.decay_factor", "link.est_error_var", "link.symbol_power",
     ])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
-    def test_non_finite_rejected(self, cfg, key, value):
+    def test_non_finite_rejected(self, base_cfg, key, value):
         with pytest.raises(DomainError, match="finite"):
-            validate(updated(cfg, {key: value}))
+            validate(updated(base_cfg, {key: value}))
 
-    def test_sections_updated_together(self, cfg):
+    def test_sections_updated_together(self, base_cfg):
         # 4 subcarriers admit 3 taps but not the default 5: the config is
         # validated once, with both sections changed, not section by section
-        both = updated(cfg, {"ofdm.num_subcarriers": 4, "channel.num_taps": 3})
+        both = updated(base_cfg, {"ofdm.num_subcarriers": 4, "channel.num_taps": 3})
         assert (both.ofdm.num_subcarriers, both.channel.num_taps) == (4, 3)
 
-    def test_unknown_key_rejected(self, cfg):
+    def test_unknown_key_rejected(self, base_cfg):
         with pytest.raises(DomainError, match="unknown config key"):
-            updated(cfg, {"link.bogus": 1.0})
+            updated(base_cfg, {"link.bogus": 1.0})
 
     @pytest.mark.parametrize("key,value", [
         ("ofdm.num_subcarriers", 3.5), ("ofdm.num_subcarriers", float("nan")),
         ("ofdm.num_subcarriers", "3.5"), ("ofdm.num_subcarriers", "1e3"),
         ("ofdm.num_subcarriers", None), ("link.sir_db", "minus ten"),
     ], ids=["float", "nan", "text", "exponent", "none", "word"])
-    def test_unreadable_value_rejected(self, cfg, key, value):
+    def test_unreadable_value_rejected(self, base_cfg, key, value):
         with pytest.raises(DomainError, match=key):
-            updated(cfg, {key: value})
+            updated(base_cfg, {key: value})
 
 
 def _config_text(cfg):
@@ -99,8 +99,8 @@ def _config_text(cfg):
 
 
 class TestSerialization:
-    def test_round_trip_identity(self, cfg):
-        assert parse_config(_config_text(cfg)) == cfg
+    def test_round_trip_identity(self, base_cfg):
+        assert parse_config(_config_text(base_cfg)) == base_cfg
 
     @given(snr=st.floats(-10, 60), fn=st.floats(0, 3),
            cp=st.floats(0, 1), taps=st.integers(1, 12))
@@ -133,6 +133,6 @@ class TestSerialization:
         assert parse_config(path.read_text(encoding="utf-8")) == SystemConfig()
 
 
-def test_configs_are_immutable(cfg):
+def test_configs_are_immutable(base_cfg):
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.link.avg_snr_db = 10.0
+        base_cfg.link.avg_snr_db = 10.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,15 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from ofdm_bitload import (AllocationStatus, DomainError, InterferenceProfile,
                           SweepKind, SweepSpec, SystemConfig, calibrated_profile,
-                          run_sweep, run_trial, updated, validate)
+                          run_sweep, run_trial, updated)
+from ofdm_bitload import experiments
 from ofdm_bitload.config import config_as_dict
 from ofdm_bitload.cli import main
 from ofdm_bitload.experiments import _chunk_stats, point_seed, trial_stream
-
-
-@pytest.fixture(scope="module")
-def base_cfg():
-    return validate(SystemConfig())
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +88,7 @@ class TestChunkStats:
     def test_equals_sums_over_run_trial(self, point, start, length, seed):
         # the batched chunk (blocks of rows, each row through one of the
         # three exits) against one run_trial per trial
-        cfg = validate(updated(SystemConfig(), CHUNK_POINTS[point]))
+        cfg = updated(SystemConfig(), CHUNK_POINTS[point])
         profile = calibrated_profile(cfg)
         results = [run_trial(cfg, profile, t, seed) for t in range(start, start + length)]
         bits = [r.throughput_bits for r in results]
@@ -203,6 +200,29 @@ class TestRunSweep:
         with pytest.raises(DomainError, match="workers"):
             run_sweep(spec, base_cfg, workers=workers)
 
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [])])
+    def test_workers_capped_at_cpu_count(self, base_cfg, monkeypatch, cpus, pools):
+        # a spawned pool may start max_workers processes; this one maps in-process
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = SweepSpec(SweepKind.SNR, (20.0,), 300, 5)  # two chunks
+        assert run_sweep(spec, base_cfg, workers=64) == run_sweep(spec, base_cfg)
+        assert built == pools
+
     def test_bad_fixed_key_rejected(self, base_cfg):
         with pytest.raises(DomainError):
             run_sweep(SweepSpec(SweepKind.SNR, (20.0,), 5, 0, fixed={"nope.nope": 1.0}),
@@ -211,21 +231,6 @@ class TestRunSweep:
 
 class TestOutputs:
     """The files the CLI writes from a sweep's records."""
-
-    def test_csv_round_trip(self, base_cfg, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(["--trials", "10", "--seed", "3", "--workers", "1", "--output", str(out),
-                     "sweep-snr", "--grid", "10,20"]) == 0
-        records = run_sweep(SweepSpec(SweepKind.SNR, (10.0, 20.0), 10, 3), base_cfg)
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == ",".join(f.name for f in dataclasses.fields(records[0]))
-        assert len(lines) == 3
-        x, avg, stderr, stopped, trials, seed = lines[1].split(",")
-        assert float(x) == 10.0
-        assert float(avg) == records[0].avg_throughput_bits
-        assert float(stderr) == records[0].stderr_bits
-        assert int(trials) == 10
-        assert int(seed) == records[0].seed
 
     def test_json_sidecar(self, base_cfg, tmp_path, capsys, sweep_reference_csv):
         out = tmp_path / "sweep.csv"

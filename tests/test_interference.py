@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofdm_bitload import (DomainError, InterferenceProfile, NbConfig, SystemConfig,
-                          analytic_variance, calibrated_profile, mc_variance,
-                          updated, validate)
+from ofdm_bitload import (DomainError, NbConfig, SystemConfig, analytic_variance,
+                          calibrated_profile, mc_variance, updated)
 from ofdm_bitload import interference
 from ofdm_bitload.cli import main
 from ofdm_bitload.interference import rrc_pulse, synthesize_nb_blocks
-
-
-@pytest.fixture(scope="module")
-def base_cfg():
-    return validate(SystemConfig())
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +121,7 @@ class TestAnalyticVariance:
     def test_integer_offset_invariance(self, base_cfg, unit_profile):
         # exp(j 2 pi (F_n + 1) n) == exp(j 2 pi F_n n) at integer n, so a
         # full-bandwidth carrier shift is invisible sample by sample
-        shifted = validate(updated(base_cfg, {"nb.normalized_freq":
-                                              base_cfg.nb.normalized_freq + 1.0}))
+        shifted = updated(base_cfg, {"nb.normalized_freq": base_cfg.nb.normalized_freq + 1.0})
         prof = analytic_variance(shifted, 1.0)
         # not bit-identical: F_n + 1 rounds away a few low bits of F_n, so
         # allow rounding noise
@@ -138,8 +131,7 @@ class TestAnalyticVariance:
     def test_huge_offset_is_reduced_mod_one(self, base_cfg):
         # every float from 2^52 up is an integer, so 1e308 carries F_n = 0's
         # phases, where 2 pi F_n n itself would overflow to a NaN profile
-        zero, huge = (validate(updated(base_cfg, {"nb.normalized_freq": fn}))
-                      for fn in (0.0, 1e308))
+        zero, huge = (updated(base_cfg, {"nb.normalized_freq": fn}) for fn in (0.0, 1e308))
         np.testing.assert_array_equal(analytic_variance(huge, 1.0).variances,
                                       analytic_variance(zero, 1.0).variances)
         np.testing.assert_array_equal(
@@ -150,7 +142,7 @@ class TestAnalyticVariance:
         # the sampled model is periodic in F_n mod 1; within [0, 1) the peak
         # bin tracks round(F_n * N)
         for fn in (0.1, 0.25, 0.75, 0.9):
-            cfg_fn = validate(updated(base_cfg, {"nb.normalized_freq": fn}))
+            cfg_fn = updated(base_cfg, {"nb.normalized_freq": fn})
             prof = analytic_variance(cfg_fn, 1.0)
             expected = round(fn * base_cfg.ofdm.num_subcarriers)
             assert abs(int(np.argmax(prof.variances)) - expected) <= 1
@@ -160,9 +152,9 @@ class TestAnalyticVariance:
         # F_n + 1/N multiplies the sample at n by exp(j 2 pi n / N), which
         # moves every FFT bin up by one; criterion 6's periodicity rests on it
         n_sc = base_cfg.ofdm.num_subcarriers
-        prof = analytic_variance(validate(updated(base_cfg, {"nb.normalized_freq": fn})), 1.0)
+        prof = analytic_variance(updated(base_cfg, {"nb.normalized_freq": fn}), 1.0)
         stepped = analytic_variance(
-            validate(updated(base_cfg, {"nb.normalized_freq": fn + 1.0 / n_sc})), 1.0)
+            updated(base_cfg, {"nb.normalized_freq": fn + 1.0 / n_sc}), 1.0)
         np.testing.assert_allclose(stepped.variances, np.roll(prof.variances, 1),
                                    rtol=0, atol=1e-12 * prof.variances.max())
 
@@ -183,10 +175,10 @@ class TestAnalyticVariance:
         (3, 0.1, 60e3, 256, 0.25),
     ])
     def test_matches_symbol_sum_short_span(self, span, rolloff, nb_bandwidth, n_sc, fn):
-        cfg = validate(updated(SystemConfig(), {
+        cfg = updated(SystemConfig(), {
             "nb.pulse_span_symbols": span, "ofdm.num_subcarriers": n_sc,
             "nb.rolloff": rolloff, "nb.bandwidth_hz": nb_bandwidth,
-            "nb.normalized_freq": fn}))
+            "nb.normalized_freq": fn})
         closed = analytic_variance(cfg, 1.0).variances
         oracle = symbol_sum_variance(cfg, 1.0, 4096)
         assert np.abs(closed - oracle).max() < 1e-5 * closed.max()
@@ -196,10 +188,10 @@ class TestAnalyticVariance:
            fn=st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=25, deadline=None)
     def test_matches_symbol_sum(self, span, n_sc, rolloff, nb_bandwidth, fn):
-        cfg = validate(updated(SystemConfig(), {
+        cfg = updated(SystemConfig(), {
             "nb.pulse_span_symbols": span, "ofdm.num_subcarriers": n_sc,
             "nb.rolloff": rolloff, "nb.bandwidth_hz": nb_bandwidth,
-            "nb.normalized_freq": fn}))
+            "nb.normalized_freq": fn})
         closed = analytic_variance(cfg, 1.0).variances
         oracle = symbol_sum_variance(cfg, 1.0, 256)
         assert np.abs(closed - oracle).max() < 1e-5 * closed.max()
@@ -228,13 +220,6 @@ class TestMonteCarlo:
         n = base_cfg.ofdm.num_subcarriers
         mean_power = np.mean(np.abs(samples) ** 2)
         assert prof.variances.sum() == pytest.approx(n * mean_power, rel=1e-10)
-
-    def test_matches_analytic_small_run(self, base_cfg, unit_profile):
-        mc = mc_variance(base_cfg, 1.0, 20_000, np.random.default_rng(77))
-        mask = unit_profile.variances > 0.01 * unit_profile.variances.max()
-        rel = np.abs(mc.variances[mask] - unit_profile.variances[mask]) \
-            / unit_profile.variances[mask]
-        assert rel.max() < 0.07
 
     def test_blocks_have_expected_power(self, base_cfg):
         samples = synthesize_nb_blocks(base_cfg, 2.0, 400, np.random.default_rng(9))
@@ -314,10 +299,10 @@ class TestPolyphaseSynthesis:
     @settings(max_examples=50, deadline=None)
     def test_equals_reference_at_midpoint_delays(self, span, rolloff, nb_bandwidth, n_sc,
                                                  fn, num_blocks, sigma_b2, seed):
-        cfg = validate(updated(SystemConfig(), {
+        cfg = updated(SystemConfig(), {
             "nb.pulse_span_symbols": span, "ofdm.num_subcarriers": n_sc,
             "nb.rolloff": rolloff, "nb.bandwidth_hz": nb_bandwidth,
-            "nb.normalized_freq": fn}))
+            "nb.normalized_freq": fn})
         fast = synthesize_nb_blocks(cfg, sigma_b2, num_blocks, np.random.default_rng(seed))
         # the draws in synthesize_nb_blocks's order: delays, then real and
         # imaginary symbol bits
@@ -372,7 +357,7 @@ class TestPolyphaseSynthesis:
           "ofdm.num_subcarriers": 256, "nb.normalized_freq": 0.25}, 2e-5),
     ], ids=["default", "span2-102", "span2-256", "span3-256"])
     def test_quantization_bias(self, overrides, bound):
-        cfg = validate(updated(SystemConfig(), overrides))
+        cfg = updated(SystemConfig(), overrides)
         closed = analytic_variance(cfg, 1.0).variances
         expected = symbol_sum_variance(cfg, 1.0, interference._PHASES)
         assert np.abs(expected - closed).max() < bound * closed.max()
@@ -408,7 +393,7 @@ class TestCalibration:
     def test_overflowing_sir_rejected(self, base_cfg):
         # validate passes: symbol_power * 10^308 is finite, but N times it,
         # which calibration divides by the summed profile, is not
-        cfg = validate(updated(base_cfg, {"link.sir_db": -3080.0}))
+        cfg = updated(base_cfg, {"link.sir_db": -3080.0})
         with pytest.raises(DomainError, match="link.sir_db"):
             calibrated_profile(cfg)
 
@@ -426,7 +411,7 @@ class TestCalibration:
         # for r_p: infinitely many at 1e-300 Hz, 2.2e7 at 10 Hz, 1e298 at a
         # 1e300 Hz OFDM band. The last three keep the span in range, but the
         # profile overflows: in r_p, in its 1/T scaling and in its sum.
-        cfg = validate(updated(base_cfg, overrides))
+        cfg = updated(base_cfg, overrides)
         with pytest.raises(DomainError, match="nb.bandwidth_hz and ofdm.bandwidth_hz"):
             calibrated_profile(cfg)
 

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from ofdm_bitload import (AllocationStatus, Constellation, DomainError, SystemConfig,
+from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
                           allocate, ber, calibrated_profile, draw_realization, measure_ber,
-                          sinr, updated, validate)
+                          sinr, updated)
 from ofdm_bitload.experiments import run_trial, trial_stream
 from ofdm_bitload.verifier import (_geometry, _pam_errors, gaussian_premise_report,
                                    measure_allocation_ber)
-
-
-@pytest.fixture(scope="module")
-def base_cfg():
-    return validate(SystemConfig())
 
 
 def _bits_for(constellation, g, cp, target_errors=4000):
@@ -113,8 +108,7 @@ class TestVerifyAllocation:
     def limited(self, base_cfg):
         # drop SIR until the allocator lands on low orders with BER near the
         # target; the allocation and the SINRs it was made from
-        cfg = validate(updated(base_cfg, {"link.sir_db": -10.0,
-                                          "link.target_ber": 1e-2}))
+        cfg = updated(base_cfg, {"link.sir_db": -10.0, "link.target_ber": 1e-2})
         profile = calibrated_profile(cfg)
         realization = draw_realization(cfg.channel, cfg.ofdm, trial_stream(11, 0))
         result = run_trial(cfg, profile, 0, base_seed=11)
@@ -154,9 +148,7 @@ class TestVerifyAllocation:
 
 class TestGaussianPremise:
     def test_report_structure_and_rough_agreement(self, base_cfg):
-        from ofdm_bitload.config import updated
-        cfg = validate(updated(base_cfg, {"link.sir_db": -10.0,
-                                          "link.target_ber": 1e-2}))
+        cfg = updated(base_cfg, {"link.sir_db": -10.0, "link.target_ber": 1e-2})
         profile = calibrated_profile(cfg)
         rng = trial_stream(11, 0)
         realization = draw_realization(cfg.channel, cfg.ofdm, rng)
