@@ -5,9 +5,11 @@ The three paper-figure scripts at 20 trials, seed 5 (14 CSVs); the
 worker-invariance criterion's sweep, 600 trials over SNR 10 and 30 dB at
 seed 2026, which crosses the 256-trial chunk boundary; and the golden
 Table-1 point, 10^4 trials at SNR 20 dB, SIR 0 dB, F_n 0.52, seed 42. Only
-the CSVs are frozen, not their JSON sidecars. Acceptance criterion 10
-(tests/test_acceptance.py::test_criterion_10_golden_regression) runs
-write_csvs and compares every CSV byte for byte with tests/data/.
+the CSVs are frozen, not their JSON sidecars. The test suite runs
+write_csvs once per session (the regenerated_csvs fixture in
+tests/conftest.py); tests/test_scripts.py::test_sweep_csvs_match_their_frozen_bytes
+compares every CSV byte for byte with tests/data/, and acceptance criterion 10
+the golden one.
 
     python scripts/make_frozen_csvs.py [DIR]    (default: tests/data/)
 

@@ -4,12 +4,10 @@ Each test carries its own runtime budget.
 """
 
 import itertools
-import platform
 import time
 
 import numpy as np
 import pytest
-import scipy
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -31,8 +29,6 @@ SNR_GRID_SATURATION = tuple(float(x) for x in range(45, 61, 5))
 # F_n shift, in subcarriers, of criterion 6's periodicity pairs
 PERIOD_SHIFT = 20
 SEED = 2026
-# the versions tests/data/ was frozen under; the CSV bytes may change with them
-FROZEN_VERSIONS = {"Python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 
 def _stat_nondecreasing(records):
@@ -326,36 +322,23 @@ def test_criterion_08_estimation_error_degrades_throughput():
 
 
 def test_criterion_09_determinism_across_workers(tmp_path, frozen_dir):
-    # the 1-worker run is the frozen CSV, which criterion 10 regenerates
+    # the 1-worker run is the frozen CSV, which the regenerated_csvs fixture
+    # regenerates once per session
     csv = tmp_path / "workers2.csv"
     assert main(["--trials", "600", "--seed", str(SEED), "--workers", "2",
                  "--output", str(csv), "sweep-snr", "--grid", "10,30"]) == 0
     assert csv.read_bytes() == (frozen_dir / "workers_snr_sweep.csv").read_bytes()
 
 
-def test_criterion_10_golden_regression(tmp_path, frozen_dir, load_script):
-    """The sweep CSVs of scripts/make_frozen_csvs.py, byte for byte as frozen in
-    tests/data/ under FROZEN_VERSIONS: the golden Table-1 point, criterion 9's
-    1-worker sweep and the paper-figure scripts' curves.
+def test_criterion_10_golden_regression(regenerated_csvs, assert_frozen):
+    """The golden Table-1 point (10^4 trials at SNR 20 dB, seed 42), every field
+    of it, as frozen in tests/data/golden_snr_sweep.csv.
 
-    Outputs stay bit-identical, so a mismatch under those versions is a fault;
-    the message names the running versions next to them. The files are
-    re-frozen (by running that script) only for a change that is deliberately
-    more exact, with the old and new digests recorded in CHANGES.md.
+    The point comes from the session's one run of scripts/make_frozen_csvs.py,
+    whose other CSVs test_scripts.py::test_sweep_csvs_match_their_frozen_bytes
+    compares; the 120 s budget covers that whole run.
     """
-    start = time.monotonic()
-    names = load_script("make_frozen_csvs").write_csvs(tmp_path)
-    assert names == sorted(p.name for p in frozen_dir.glob("*.csv"))
-    running = {"Python": platform.python_version(), "numpy": np.__version__,
-               "scipy": scipy.__version__}
-    versions = ", ".join(f"{lib} {running[lib]} (frozen under {frozen})"
-                         for lib, frozen in FROZEN_VERSIONS.items())
-    for name in names:
-        got = (tmp_path / name).read_text().splitlines()
-        want = (frozen_dir / name).read_text().splitlines()
-        diff = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
-                    min(len(got), len(want)))
-        assert (tmp_path / name).read_bytes() == (frozen_dir / name).read_bytes(), \
-            f"{name} line {diff + 1}: {got[diff:diff + 1]} != frozen " \
-            f"{want[diff:diff + 1]}; running {versions}"
-    assert time.monotonic() - start < 120.0
+    _, names, seconds = regenerated_csvs
+    assert "golden_snr_sweep.csv" in names
+    assert_frozen("golden_snr_sweep.csv")
+    assert seconds < 120.0

@@ -1,11 +1,10 @@
-"""The paper-figure scripts.
+"""The scripts: the paper-figure sweeps and the frozen-CSV generator.
 
 Each figure script is a loop over one CLI sweep subcommand. Its ``main`` runs
 in-process in a temporary directory at 2 trials; every CSV it writes must
-equal the sweep of the experiment it reproduces. The frozen-CSV generator,
-scripts/make_frozen_csvs.py, is run by acceptance criterion 10
-(tests/test_acceptance.py::test_criterion_10_golden_regression), which
-compares its CSVs byte for byte with the ones frozen in tests/data/.
+equal the sweep of the experiment it reproduces. The generator's CSVs, written
+once per session by the ``regenerated_csvs`` fixture, must equal, byte for
+byte, the ones frozen in tests/data/.
 """
 
 import json
@@ -79,3 +78,10 @@ def test_help_shows_the_script_and_the_cli_flags(tmp_path, capsys, load_script, 
         assert "--trials TRIALS" in out
         assert list(tmp_path.iterdir()) == []
 
+
+def test_sweep_csvs_match_their_frozen_bytes(regenerated_csvs, frozen_dir,
+                                             assert_frozen):
+    _, names, _ = regenerated_csvs
+    assert names == sorted(p.name for p in frozen_dir.glob("*.csv"))
+    for name in names:
+        assert_frozen(name)
