@@ -1,31 +1,27 @@
 """The argv handling shared by scripts/run_*_sweep.py: one CLI sweep per curve."""
 
-import sys
+import argparse
 
 from ofdm_bitload import cli
 
 
 def run_curves(prog: str, doc: str, curves: dict, argv=None) -> int:
-    """Run ``cli.main`` once per {output CSV: subcommand argv} in curves.
-
-    argv holds the CLI's global flags (default 2000 trials, 1 worker). argparse
-    accepts any unambiguous prefix of a flag (--he, --out=x), and so do the
-    checks here: --help prints doc and the CLI's global help once, and
-    --output exits 2 because the script names its own files.
-    """
-    argv = sys.argv[1:] if argv is None else argv
-    prefixes = {a.split("=")[0] for a in argv if len(a) > 2}
-    if "-h" in argv or any("--help".startswith(p) for p in prefixes):
-        print(doc)
-        return cli.main(["--help"])
-    if any("--output".startswith(p) for p in prefixes):
-        print(f"usage: {prog} [ofdm-bitload global flags other than --output]\n"
-              f"{prog}: error: --output is not accepted; the script names its own files",
-              file=sys.stderr)
-        return 2
+    """Run ``cli.main`` once per {output CSV: subcommand argv} in curves, passing
+    on the sweep flags in argv: --config, --seed, --trials (default 2000) and
+    --workers (default 1). The script names its own files, so takes no --output."""
+    common, run, _ = cli.flag_groups()
+    parser = argparse.ArgumentParser(prog=prog, description=doc, parents=[common, run],
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.set_defaults(trials=2000, workers=1)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    # canonical flags, not the raw argv: a prefix unambiguous among these four
+    # flags can be ambiguous among a sweep's
+    flags = [f"--{name}={value}" for name, value in vars(args).items() if value is not None]
     for output, command in curves.items():
-        code = cli.main(["--trials", "2000", "--workers", "1", *argv, "--output", output,
-                         *command])
+        code = cli.main([*command, *flags, "--output", output])
         if code:
             return code
     return 0

@@ -37,10 +37,10 @@ RUNS = [
     (run_fn_sweep.main, SCRIPT_ARGS),
     (run_snr_sweep.main, SCRIPT_ARGS),
     (run_sigma_h_sweep.main, SCRIPT_ARGS),
-    (cli.main, ["--trials", "600", "--seed", "2026", "--workers", "1",
-                "--output", "workers_snr_sweep.csv", "sweep-snr", "--grid", "10,30"]),
-    (cli.main, ["--trials", "10000", "--seed", "42", "--workers", "1",
-                "--output", "golden_snr_sweep.csv", "sweep-snr", "--grid", "20"]),
+    (cli.main, ["sweep-snr", "--trials", "600", "--seed", "2026", "--workers", "1",
+                "--output", "workers_snr_sweep.csv", "--grid", "10,30"]),
+    (cli.main, ["sweep-snr", "--trials", "10000", "--seed", "42", "--workers", "1",
+                "--output", "golden_snr_sweep.csv", "--grid", "20"]),
 ]
 
 

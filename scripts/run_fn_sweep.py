@@ -4,7 +4,8 @@
 Reproduces the offset-sweep experiment: SNR 20 dB, F_n from 0.40 to 0.70 (the
 CLI's default grid), SIR in {-20, -10, 0, 10, 20} dB. Runs ``ofdm-bitload
 sweep-fn`` once per SIR, which writes fn_sweep_sir<SIR>.csv plus its JSON
-sidecar. Takes the CLI's global flags (default 2000 trials, 1 worker).
+sidecar. Takes --config, --seed, --trials (default 2000) and --workers
+(default 1).
 """
 
 from _curves import run_curves

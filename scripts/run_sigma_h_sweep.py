@@ -4,8 +4,8 @@
 Reproduces the estimation-error experiment: F_n = 0.52, SIR = 0 dB, one SNR
 curve (the CLI's default 0-40 dB grid) per sigma_h^2 in {0, 0.001, 0.01, 0.1}.
 Runs ``ofdm-bitload sweep-snr`` once per sigma_h^2, which writes
-sigma_h_sweep_<sigma_h^2>.csv plus its JSON sidecar. Takes the CLI's global
-flags (default 2000 trials, 1 worker).
+sigma_h_sweep_<sigma_h^2>.csv plus its JSON sidecar. Takes --config, --seed,
+--trials (default 2000) and --workers (default 1).
 """
 
 from _curves import run_curves

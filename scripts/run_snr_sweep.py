@@ -4,7 +4,7 @@
 Reproduces the saturation experiment: F_n = 0.52, SNR 0-40 dB (the CLI's
 default grid), SIR in {-20, -10, 0, 10, 20} dB. Runs ``ofdm-bitload sweep-snr``
 once per SIR, which writes snr_sweep_sir<SIR>.csv plus its JSON sidecar.
-Takes the CLI's global flags (default 2000 trials, 1 worker).
+Takes --config, --seed, --trials (default 2000) and --workers (default 1).
 """
 
 from _curves import run_curves

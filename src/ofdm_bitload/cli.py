@@ -25,7 +25,7 @@ from .errors import DomainError
 from .experiments import SweepKind, SweepRecord, SweepSpec, run_sweep, run_trial
 
 _SWEEP_DEFAULT_GRID = {
-    SweepKind.FN: tuple(np.round(np.arange(0.40, 0.701, 0.02), 10)),
+    SweepKind.FN: tuple(np.round(np.arange(0.40, 0.701, 0.02), 10).tolist()),
     SweepKind.SNR: tuple(float(x) for x in range(0, 41, 5)),
     SweepKind.SIGMA_H: (0.0, 0.001, 0.01, 0.1),
 }
@@ -33,51 +33,59 @@ _SWEEP_DEFAULT_GRID = {
 # Link flags and the config keys they set; each flag stores under its key.
 _LINK_FLAGS = {"--snr-db": "link.avg_snr_db", "--sir-db": "link.sir_db",
                "--fn": "nb.normalized_freq", "--sigma-h2": "link.est_error_var"}
-# Global flags that only some subcommands read; each parses to None when
-# absent, so a subcommand can reject one it would ignore.
-_RUN_FLAGS = ("--trials", "--workers", "--output")
-_DEFAULT_TRIALS = 100
+
+
+def at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def csv_path(text: str) -> str:
+    # checked before any work runs, so a bad path neither wastes a sweep nor
+    # lets a file appear; the sidecar takes the <stem>.json name
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    if os.path.splitext(text)[1].lower() == ".json":
+        raise argparse.ArgumentTypeError(f"must not end in .json, got {text}")
+    for path in (text, os.path.splitext(text)[0] + ".json"):
+        if os.path.isdir(path):
+            raise argparse.ArgumentTypeError(f"{path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        raise argparse.ArgumentTypeError(f"its directory does not exist: {text}")
+    return text
+
+
+def flag_groups() -> tuple:
+    """New parent parsers: common (--config, --seed) for every subcommand, run
+    (--trials, --workers) for the sweeps, output (--output) for the sweeps and
+    profile-dump. Build them for each parser: set_defaults on a child writes
+    through to the actions it shares with its parents."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None,
+                        help="flat key-value config file (default: built-in defaults)")
+    common.add_argument("--seed", type=at_least(0), default=0,
+                        help="base random seed (default %(default)s)")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--trials", type=at_least(1), default=100,
+                     help="Monte Carlo trials per grid point (default %(default)s)")
+    run.add_argument("--workers", type=at_least(1), default=os.cpu_count() or 1,
+                     help="worker processes, at most the CPU count (default %(default)s)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", type=csv_path,
+                        help="output CSV path; its sidecar is <stem>.json (default %(default)s)")
+    return common, run, output
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    def at_least(low: int):
-        def integer(text: str) -> int:
-            if int(text) < low:
-                raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-            return int(text)
-        return integer
-
     def grid(text: str) -> tuple:
         return tuple(float(v) for v in text.split(","))
-
-    def csv_path(text: str) -> str:
-        # checked before any work runs, so a bad path neither wastes a sweep
-        # nor lets a file appear; the sidecar takes the <stem>.json name
-        if not text:
-            raise argparse.ArgumentTypeError("must not be empty")
-        if os.path.splitext(text)[1].lower() == ".json":
-            raise argparse.ArgumentTypeError(f"must not end in .json, got {text}")
-        if os.path.isdir(text):
-            raise argparse.ArgumentTypeError(f"is a directory: {text}")
-        if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
-            raise argparse.ArgumentTypeError(f"its directory does not exist: {text}")
-        return text
 
     parser = argparse.ArgumentParser(
         prog="ofdm-bitload",
         description="Adaptive OFDM bit loading next to a narrowband interferer")
-    parser.add_argument("--config", default=None,
-                        help="flat key-value config file (default: built-in defaults)")
-    parser.add_argument("--seed", type=at_least(0), default=0, help="base random seed")
-    parser.add_argument("--trials", type=at_least(1), default=None,
-                        help="Monte Carlo trials per grid point, sweeps only "
-                             f"(default {_DEFAULT_TRIALS})")
-    parser.add_argument("--workers", type=at_least(1), default=None,
-                        help="parallel worker processes, sweeps only; at most the CPU count "
-                             "(default: CPU count)")
-    parser.add_argument("--output", type=csv_path, default=None,
-                        help="output CSV path, sweeps and profile-dump only; "
-                             "its sidecar is <stem>.json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def link_flags(p, flags) -> None:
@@ -87,28 +95,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, kind in (("sweep-fn", SweepKind.FN), ("sweep-snr", SweepKind.SNR),
                        ("sweep-sigma-h", SweepKind.SIGMA_H)):
-        p = sub.add_parser(name, help=f"average-throughput sweep over {kind.name.lower()}")
-        p.set_defaults(kind=kind, run=_cmd_sweep, reads=_RUN_FLAGS)
-        p.add_argument("--grid", type=grid, default=None,
-                       help="comma-separated grid values (default: built-in grid)")
+        p = sub.add_parser(name, help=f"average-throughput sweep over {kind.name.lower()}",
+                           parents=flag_groups())
+        p.set_defaults(kind=kind, run=_cmd_sweep, output=f"sweep_{kind.name.lower()}.csv")
+        p.add_argument("--grid", type=grid, default=_SWEEP_DEFAULT_GRID[kind],
+                       help="comma-separated grid values (default %(default)s)")
         # the swept key comes from the grid, so its own flag is not accepted
         link_flags(p, [f for f, key in _LINK_FLAGS.items() if key != kind.value])
 
-    p = sub.add_parser("allocate", help="one-shot allocation for a single channel draw")
-    p.set_defaults(run=_cmd_allocate, reads=())
+    p = sub.add_parser("allocate", help="one-shot allocation for a single channel draw",
+                       parents=flag_groups()[:1])
+    p.set_defaults(run=_cmd_allocate)
     link_flags(p, _LINK_FLAGS)
 
-    p = sub.add_parser("profile-dump", help="per-subcarrier interference variance CSV")
-    p.set_defaults(run=_cmd_profile_dump, reads=("--output",))
+    common, _, output = flag_groups()
+    p = sub.add_parser("profile-dump", help="per-subcarrier interference variance CSV",
+                       parents=[common, output])
+    p.set_defaults(run=_cmd_profile_dump, output="interference_profile.csv")
     link_flags(p, ["--fn", "--sir-db"])
     p.add_argument("--mc-symbols", type=at_least(0), default=0,
-                   help="also compute the Monte Carlo profile over this many symbols")
+                   help="also compute the Monte Carlo profile over this many symbols "
+                        "(default %(default)s)")
 
-    p = sub.add_parser("verify", help="symbol-level re-measurement of one allocation")
-    p.set_defaults(run=_cmd_verify, reads=())
+    p = sub.add_parser("verify", help="symbol-level re-measurement of one allocation",
+                       parents=flag_groups()[:1])
+    p.set_defaults(run=_cmd_verify)
     link_flags(p, _LINK_FLAGS)
     p.add_argument("--symbols", type=at_least(1), default=100_000,
-                   help="OFDM symbols to transmit per subcarrier")
+                   help="OFDM symbols to transmit per subcarrier (default %(default)s)")
     return parser
 
 
@@ -142,13 +156,12 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _write_outputs(args, default_path: str, csv_text: str, sidecar: dict) -> int:
-    """Write the CSV to --output (or default_path) and its <stem>.json sidecar.
+def _write_outputs(out: str, csv_text: str, sidecar: dict) -> int:
+    """Write the CSV to out and its <stem>.json sidecar.
 
     The sidecar is encoded first, as strict JSON, so a value it cannot hold
     (NaN, infinity) fails the run before either file is written.
     """
-    out = args.output or default_path
     meta = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _atomic_write(out, csv_text)
     _atomic_write(os.path.splitext(out)[0] + ".json", meta)
@@ -158,12 +171,10 @@ def _write_outputs(args, default_path: str, csv_text: str, sidecar: dict) -> int
 
 def _cmd_sweep(args, cfg: SystemConfig) -> int:
     kind, name = args.kind, args.kind.name.lower()
-    grid = args.grid or _SWEEP_DEFAULT_GRID[kind]
-    spec = SweepSpec(kind=kind, grid=grid, trials=args.trials or _DEFAULT_TRIALS,
-                     base_seed=args.seed)
-    print(f"running {name} sweep: {len(grid)} points x {spec.trials} trials",
+    spec = SweepSpec(kind=kind, grid=args.grid, trials=args.trials, base_seed=args.seed)
+    print(f"running {name} sweep: {len(spec.grid)} points x {spec.trials} trials",
           file=sys.stderr)
-    records = run_sweep(spec, cfg, workers=args.workers or os.cpu_count() or 1)
+    records = run_sweep(spec, cfg, workers=args.workers)
     # provenance: resolved config, spec and records, enough to re-run the sweep
     sidecar = {
         "sweep": {"kind": name, "grid": list(spec.grid), "trials": spec.trials,
@@ -172,7 +183,7 @@ def _cmd_sweep(args, cfg: SystemConfig) -> int:
         "records": [asdict(r) for r in records],
     }
     csv_text = _csv([f.name for f in fields(SweepRecord)], map(astuple, records))
-    return _write_outputs(args, f"sweep_{name}.csv", csv_text, sidecar)
+    return _write_outputs(args.output, csv_text, sidecar)
 
 
 def _cmd_allocate(args, cfg: SystemConfig) -> int:
@@ -200,7 +211,7 @@ def _cmd_profile_dump(args, cfg: SystemConfig) -> int:
     rows = zip(range(cfg.ofdm.num_subcarriers), *(p.variances.tolist() for p in columns.values()))
     sidecar = {"config": config_as_dict(cfg), "seed": args.seed,
                "sigma_b2": analytic.symbol_power}
-    return _write_outputs(args, "interference_profile.csv", _csv(["k", *columns], rows), sidecar)
+    return _write_outputs(args.output, _csv(["k", *columns], rows), sidecar)
 
 
 def _cmd_verify(args, cfg: SystemConfig) -> int:
@@ -221,21 +232,9 @@ def _cmd_verify(args, cfg: SystemConfig) -> int:
     return 0
 
 
-def _parse_args(argv=None) -> argparse.Namespace:
-    """The parsed command line; a global flag that the subcommand does not
-    read is a usage error (exit 2), as is anything argparse rejects."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    ignored = [flag for flag in _RUN_FLAGS
-               if getattr(args, flag[2:]) is not None and flag not in args.reads]
-    if ignored:
-        parser.error(f"{args.command} does not read {', '.join(ignored)}")
-    return args
-
-
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -163,8 +163,8 @@ def updated(cfg: SystemConfig, overrides: dict) -> SystemConfig:
 
 
 def parse_config(text: str) -> SystemConfig:
-    """Parse flat ``key = value`` lines ('#' starts a comment)."""
-    overrides = {}
+    """Parse flat ``key = value`` lines ('#' starts a comment); each key once."""
+    overrides, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -174,7 +174,9 @@ def parse_config(text: str) -> SystemConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEY_MAP:
             raise DomainError(f"config line {lineno}: unknown key {key!r}")
-        overrides[key] = value
+        if key in lines:
+            raise DomainError(f"config lines {lines[key]} and {lineno}: key {key!r} set twice")
+        overrides[key], lines[key] = value, lineno
     return updated(SystemConfig(), overrides)
 
 

@@ -325,8 +325,8 @@ def test_criterion_09_determinism_across_workers(tmp_path, frozen_dir):
     # the 1-worker run is the frozen CSV, which the regenerated_csvs fixture
     # regenerates once per session
     csv = tmp_path / "workers2.csv"
-    assert main(["--trials", "600", "--seed", str(SEED), "--workers", "2",
-                 "--output", str(csv), "sweep-snr", "--grid", "10,30"]) == 0
+    assert main(["sweep-snr", "--trials", "600", "--seed", str(SEED), "--workers", "2",
+                 "--output", str(csv), "--grid", "10,30"]) == 0
     assert csv.read_bytes() == (frozen_dir / "workers_snr_sweep.csv").read_bytes()
 
 

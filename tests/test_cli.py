@@ -3,15 +3,17 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import shutil
+import subprocess
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ofdm_bitload import SystemConfig, calibrated_profile
 from ofdm_bitload.config import config_as_dict
-from ofdm_bitload.cli import _parse_args, main
+from ofdm_bitload.cli import _build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,7 +33,7 @@ def strict_json(text):
 
 class TestAllocate:
     def test_baseline_json_summary(self, capsys):
-        code, out, _ = run_cli(capsys, "--seed", "0", "allocate")
+        code, out, _ = run_cli(capsys, "allocate", "--seed", "0")
         assert code == 0
         summary = json.loads(out)
         assert summary["status"] == "met"
@@ -40,8 +42,8 @@ class TestAllocate:
         assert len(summary["loads"]) == 128
 
     def test_deterministic(self, capsys):
-        _, out_a, _ = run_cli(capsys, "--seed", "9", "allocate")
-        _, out_b, _ = run_cli(capsys, "--seed", "9", "allocate")
+        _, out_a, _ = run_cli(capsys, "allocate", "--seed", "9")
+        _, out_b, _ = run_cli(capsys, "allocate", "--seed", "9")
         assert out_a == out_b
 
     def test_overrides_change_result(self, capsys):
@@ -55,9 +57,8 @@ class TestSweep:
     def test_snr_sweep_writes_csv_and_sidecar(self, capsys, tmp_path):
         out_csv = tmp_path / "snr.csv"
         code, out, err = run_cli(
-            capsys, "--trials", "10", "--workers", "1",
-            "--output", str(out_csv),
-            "sweep-snr", "--grid", "10,20")
+            capsys, "sweep-snr", "--trials", "10", "--workers", "1",
+            "--output", str(out_csv), "--grid", "10,20")
         assert code == 0
         assert out.strip() == str(out_csv)
         assert "2 points x 10 trials" in err
@@ -72,8 +73,8 @@ class TestSweep:
         ("sweep-fn", "0.5", "fn"), ("sweep-snr", "10", "snr"),
         ("sweep-sigma-h", "0.01", "sigma_h")])
     def test_default_output_names(self, capsys, tmp_path, command, grid, kind):
-        code, out, _ = run_cli(capsys, "--trials", "2", "--workers", "1",
-                               command, "--grid", grid)
+        code, out, _ = run_cli(capsys, command, "--trials", "2", "--workers", "1",
+                               "--grid", grid)
         assert code == 0
         assert out.strip() == f"sweep_{kind}.csv"
         assert sorted(p.name for p in tmp_path.iterdir()) \
@@ -85,8 +86,8 @@ class TestSweep:
                                       ["--output=x.csv.json"]])
     def test_json_output_is_usage_error(self, capsys, tmp_path, argv):
         # the sidecar is <stem>.json, so it would overwrite a CSV named so
-        code, out, err = run_cli(capsys, "--trials", "3", "--workers", "1", *argv,
-                                 "sweep-sigma-h")
+        code, out, err = run_cli(capsys, "sweep-sigma-h", "--trials", "3", "--workers", "1",
+                                 *argv)
         assert code == 2
         assert "argument --output" in err
         assert out == ""
@@ -98,18 +99,31 @@ class TestSweep:
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv):
         # found when parsed, not after the sweep; an empty value is not "no --output"
         (tmp_path / "d").mkdir()
-        code, out, err = run_cli(capsys, "--trials", "3", "--workers", "1", *argv,
-                                 "sweep-snr", "--grid", "10")
+        code, out, err = run_cli(capsys, "sweep-snr", "--trials", "3", "--workers", "1", *argv,
+                                 "--grid", "10")
         assert code == 2
         assert "argument --output" in err
         assert out == ""
         assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
+    @pytest.mark.parametrize("argv, stem", [
+        (["profile-dump", "--output", "x.csv"], "x"),
+        (["sweep-snr", "--trials", "2", "--workers", "1", "--grid", "10"], "sweep_snr")],
+        ids=["explicit", "default"])
+    def test_sidecar_directory_is_usage_error(self, capsys, tmp_path, argv, stem):
+        # the sidecar of <stem>.csv is <stem>.json; found before the work runs
+        (tmp_path / f"{stem}.json").mkdir()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "argument --output" in err
+        assert out == ""
+        assert [p.name for p in tmp_path.rglob("*")] == [f"{stem}.json"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_output_files_get_the_umask_mode(self, capsys, tmp_path, umask):
         old = os.umask(umask)
         try:
-            code, _, _ = run_cli(capsys, "--output", str(tmp_path / "p.csv"), "profile-dump")
+            code, _, _ = run_cli(capsys, "profile-dump", "--output", str(tmp_path / "p.csv"))
         finally:
             os.umask(old)
         assert code == 0
@@ -119,15 +133,15 @@ class TestSweep:
     def test_fn_sweep_with_default_grid(self, capsys, tmp_path):
         out_csv = tmp_path / "fn.csv"
         code, _, _ = run_cli(
-            capsys, "--trials", "2", "--workers", "1",
-            "--output", str(out_csv), "sweep-fn")
+            capsys, "sweep-fn", "--trials", "2", "--workers", "1",
+            "--output", str(out_csv))
         assert code == 0
         assert len(out_csv.read_text().strip().split("\n")) == 17
 
     def test_bad_grid_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(
-            capsys, "--output", str(tmp_path / "x.csv"),
-            "sweep-snr", "--grid", "20,10")
+            capsys, "sweep-snr", "--output", str(tmp_path / "x.csv"),
+            "--grid", "20,10")
         assert code == 3
         assert "error:" in err
 
@@ -136,8 +150,8 @@ class TestSweep:
     def test_own_axis_flag_is_usage_error(self, capsys, tmp_path, command, flag):
         # the grid sets the swept key, so its flag could only be ignored
         code, out, err = run_cli(
-            capsys, "--trials", "2", "--workers", "1", "--output", str(tmp_path / "x.csv"),
-            command, "--grid", "0.01", flag, "0.5")
+            capsys, command, "--trials", "2", "--workers", "1",
+            "--output", str(tmp_path / "x.csv"), "--grid", "0.01", flag, "0.5")
         assert code == 2
         assert f"unrecognized arguments: {flag} 0.5" in err
         assert out == ""
@@ -149,8 +163,8 @@ class TestSweep:
     def test_link_flag_sets_its_config_key(self, capsys, tmp_path, flag, key, value):
         command, grid = ("sweep-snr", "10") if flag == "--fn" else ("sweep-fn", "0.45")
         out_csv = tmp_path / "x.csv"
-        code, _, _ = run_cli(capsys, "--trials", "2", "--workers", "1",
-                             "--output", str(out_csv), command, "--grid", grid,
+        code, _, _ = run_cli(capsys, command, "--trials", "2", "--workers", "1",
+                             "--output", str(out_csv), "--grid", grid,
                              flag, repr(value))
         assert code == 0
         sidecar = json.loads((tmp_path / "x.json").read_text())
@@ -164,7 +178,7 @@ class TestSweep:
 class TestProfileDump:
     def test_analytic_only(self, capsys, tmp_path, reference_csv):
         out_csv = tmp_path / "prof.csv"
-        code, out, _ = run_cli(capsys, "--output", str(out_csv), "profile-dump")
+        code, out, _ = run_cli(capsys, "profile-dump", "--output", str(out_csv))
         assert code == 0
         variances = calibrated_profile(SystemConfig()).variances.tolist()
         assert out_csv.read_text() \
@@ -179,8 +193,8 @@ class TestProfileDump:
         columns = []
         for seed in ("1", "2"):
             out_csv = tmp_path / f"prof{seed}.csv"
-            code, _, _ = run_cli(capsys, "--seed", seed, "--output", str(out_csv),
-                                 "profile-dump", "--mc-symbols", "20")
+            code, _, _ = run_cli(capsys, "profile-dump", "--seed", seed,
+                                 "--output", str(out_csv), "--mc-symbols", "20")
             assert code == 0
             rows = out_csv.read_text().strip().split("\n")[1:]
             columns.append([row.split(",")[:2] for row in rows])
@@ -190,7 +204,7 @@ class TestProfileDump:
         texts = []
         for fn in ("0", "1e308"):
             out_csv = tmp_path / f"prof{fn}.csv"
-            code, _, _ = run_cli(capsys, "--output", str(out_csv), "profile-dump",
+            code, _, _ = run_cli(capsys, "profile-dump", "--output", str(out_csv),
                                  f"--fn={fn}")
             assert code == 0
             texts.append(out_csv.read_text())
@@ -203,8 +217,8 @@ class TestProfileDump:
 
     def test_with_mc_column(self, capsys, tmp_path):
         out_csv = tmp_path / "prof.csv"
-        code, _, _ = run_cli(capsys, "--output", str(out_csv),
-                             "profile-dump", "--mc-symbols", "50")
+        code, _, _ = run_cli(capsys, "profile-dump", "--output", str(out_csv),
+                             "--mc-symbols", "50")
         assert code == 0
         assert out_csv.read_text().splitlines()[0] \
             == "k,variance_analytic,variance_mc"
@@ -212,7 +226,7 @@ class TestProfileDump:
 
 class TestVerify:
     def test_summary_contains_measured_ber(self, capsys):
-        code, out, _ = run_cli(capsys, "--seed", "11", "verify",
+        code, out, _ = run_cli(capsys, "verify", "--seed", "11",
                                "--sir-db", "-10", "--symbols", "5000")
         assert code == 0
         summary = json.loads(out)
@@ -225,7 +239,7 @@ class TestConfigHandling:
     def test_config_file_flag(self, capsys, tmp_path):
         path = tmp_path / "low_sir.cfg"
         path.write_text("link.sir_db = -20.0\n")
-        _, out, _ = run_cli(capsys, "--config", str(path), "allocate")
+        _, out, _ = run_cli(capsys, "allocate", "--config", str(path))
         _, base, _ = run_cli(capsys, "allocate")
         assert json.loads(out)["throughput_bits"] \
             < json.loads(base)["throughput_bits"]
@@ -242,14 +256,22 @@ class TestConfigHandling:
     def test_invalid_config_value_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("link.target_ber = 0\n")
-        code, _, err = run_cli(capsys, "--config", str(path), "allocate")
+        code, _, err = run_cli(capsys, "allocate", "--config", str(path))
         assert code == 3
         assert "target_ber" in err
+
+    def test_key_set_twice_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("link.sir_db = 20\nlink.sir_db = -20\n")
+        code, out, err = run_cli(capsys, "allocate", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert "lines 1 and 2: key 'link.sir_db' set twice" in err
 
     def test_channel_longer_than_dft_exit_code(self, capsys, tmp_path):
         path = tmp_path / "long.cfg"
         path.write_text("channel.num_taps = 256\n")
-        code, out, err = run_cli(capsys, "--config", str(path), "allocate")
+        code, out, err = run_cli(capsys, "allocate", "--config", str(path))
         assert code == 3
         assert out == ""
         assert "channel.num_taps <= ofdm.num_subcarriers" in err
@@ -260,7 +282,7 @@ class TestConfigHandling:
     def test_zero_subcarrier_spacing_exit_code(self, capsys, tmp_path, text):
         path = tmp_path / "tiny.cfg"
         path.write_text(text + "\n")
-        code, out, err = run_cli(capsys, "--config", str(path), "allocate")
+        code, out, err = run_cli(capsys, "allocate", "--config", str(path))
         assert code == 3
         assert out == ""
         assert "ofdm.bandwidth_hz / ofdm.num_subcarriers > 0" in err
@@ -274,7 +296,7 @@ class TestConfigHandling:
     def test_unreadable_config_value_exit_code(self, capsys, tmp_path, value):
         path = tmp_path / "bad.cfg"
         path.write_text(f"ofdm.num_subcarriers = {value}\n")
-        code, _, err = run_cli(capsys, "--config", str(path), "allocate")
+        code, _, err = run_cli(capsys, "allocate", "--config", str(path))
         assert code == 3
         assert "ofdm.num_subcarriers" in err
 
@@ -305,15 +327,15 @@ class TestConfigHandling:
         # samples (the first four), or the profile overflows (the last three)
         path = tmp_path / "bw.cfg"
         path.write_text(text + "\n")
-        code, out, err = run_cli(capsys, "--config", str(path),
-                                 "--output", str(tmp_path / "prof.csv"), "profile-dump")
+        code, out, err = run_cli(capsys, "profile-dump", "--config", str(path),
+                                 "--output", str(tmp_path / "prof.csv"))
         assert code == 3
         assert out == ""
         assert "nb.bandwidth_hz and ofdm.bandwidth_hz" in err
         assert [p.name for p in tmp_path.iterdir()] == ["bw.cfg"]
 
     def test_missing_config_file_is_generic_error(self, capsys):
-        code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "allocate")
+        code, _, err = run_cli(capsys, "allocate", "--config", "/nonexistent.cfg")
         assert code == 1
         assert "error:" in err
 
@@ -333,19 +355,21 @@ class TestUsage:
         assert "sweep-fn" in out
 
     @pytest.mark.parametrize("flag, argv", [
-        ("--seed", ["--seed", "-1", "allocate"]),
-        ("--trials", ["--trials", "0", "sweep-snr", "--grid", "20"]),
-        ("--workers", ["--workers", "0", "--trials", "2", "sweep-snr", "--grid", "20"]),
+        ("--seed", ["allocate", "--seed", "-1"]),
+        ("--trials", ["sweep-snr", "--trials", "0", "--grid", "20"]),
+        ("--workers", ["sweep-snr", "--workers", "0", "--trials", "2", "--grid", "20"]),
         ("--symbols", ["verify", "--symbols", "-3", "--sir-db", "30"]),
         ("--mc-symbols", ["profile-dump", "--mc-symbols", "-5"]),
-        ("--grid", ["--trials", "2", "sweep-fn", "--grid", "0.5,abc"]),
+        ("--grid", ["sweep-fn", "--trials", "2", "--grid", "0.5,abc"]),
     ])
     def test_out_of_range_flag_is_usage_error(self, capsys, tmp_path, flag, argv):
-        # a sweep also gets the global flags it reads, so only flag is out of range
-        if any(arg.startswith("sweep-") for arg in argv):
+        # a sweep also gets --workers 1 and --output, so only flag is out of range
+        command, *argv = argv
+        if command.startswith("sweep-"):
             argv = ["--output", str(tmp_path / "out.csv"), *argv]
             if flag != "--workers":
                 argv = ["--workers", "1", *argv]
+        argv = [command, *argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"argument {flag}" in err
@@ -357,12 +381,24 @@ class TestUsage:
         for flag in ("--trials", "--workers", "--output")
         if (command, flag) != ("profile-dump", "--output")])
     def test_unread_global_flag_is_usage_error(self, capsys, tmp_path, command, flag):
-        # a flag the subcommand would ignore is named, not dropped: --output
+        # a flag the subcommand does not take is named, not dropped: --output
         # wrote no file and --trials and --workers changed nothing
         value = str(tmp_path / "x.csv") if flag == "--output" else "3"
-        code, out, err = run_cli(capsys, flag, value, command)
+        code, out, err = run_cli(capsys, command, flag, value)
         assert code == 2
-        assert f"{command} does not read {flag}" in err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--trials", "5", "sweep-snr"],
+                                      ["--seed", "3", "allocate"],
+                                      ["--output", "x.csv", "profile-dump"]],
+                             ids=["trials", "seed", "output"])
+    def test_flag_before_the_subcommand_is_usage_error(self, capsys, tmp_path, argv):
+        # every flag follows the subcommand that takes it
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("usage: ofdm-bitload")
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -404,14 +440,13 @@ _SUBCOMMANDS = {
 
 @st.composite
 def _argv(draw):
-    """(command, argv); argv holds only the global flags the command reads."""
+    """(command, argv); argv is the command, then only flags the command takes."""
     command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
-    argv = []
+    argv = [command]
     if command.startswith("sweep-"):
         argv += ["--workers", "1", f"--trials={draw(st.just('2') | _count_text(1, 2))}"]
     if draw(st.booleans()):
         argv.append(f"--seed={draw(_count_text(0, 10) | st.just(str(2 ** 70)))}")
-    argv.append(command)
     for flag, text in _SUBCOMMANDS[command].items():
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(text)}")
@@ -426,7 +461,7 @@ def test_hostile_flags_exit_cleanly(capsys, tmp_path, drawn):
     command, argv = drawn
     out_csv = tmp_path / "out.csv"
     if command not in ("allocate", "verify"):
-        argv = ["--output", str(out_csv), *argv]
+        argv = [*argv, "--output", str(out_csv)]
     code, out, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3), err
     if code == 0:
@@ -439,17 +474,28 @@ def test_hostile_flags_exit_cleanly(capsys, tmp_path, drawn):
 
 
 def test_readme_cli_examples_parse():
-    """Every ``ofdm-bitload`` line of the README parses as ``main`` parses it,
-    unread global flags included; none of them runs."""
+    """Every ``ofdm-bitload`` line of the README parses as ``main`` parses it;
+    none of them runs."""
     examples = [shlex.split(line, comments=True)[1:]
                 for line in README.read_text(encoding="utf-8").splitlines()
                 if line.startswith("ofdm-bitload ")]
     assert len(examples) >= 6
     for argv in examples:
         try:
-            _parse_args(argv)
+            _build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: ofdm-bitload {shlex.join(argv)}")
+
+
+def test_subcommand_help_lists_the_readme_flags(capsys):
+    """Each subcommand's --help lists exactly the flags the README's table gives it."""
+    rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", README.read_text(encoding="utf-8"), re.M)
+    table = {command: set(re.findall(r"--[a-z0-9-]+", flags)) for command, flags in rows}
+    assert sorted(table) == sorted(_SUBCOMMANDS)
+    for command, flags in table.items():
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert set(re.findall(r"^ +(--[a-z0-9-]+)", out, re.M)) == flags, command
 
 
 def _distribution_missing(name: str) -> bool:
@@ -464,4 +510,13 @@ def _distribution_missing(name: str) -> bool:
                     reason="ofdm-bitload is not installed, so no console "
                            "script exists (running from a source tree)")
 def test_console_script_installed():
-    assert shutil.which("ofdm-bitload") is not None
+    script = shutil.which("ofdm-bitload")
+    assert script is not None
+    run = subprocess.run([script, "allocate", "--seed", "0"], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["seed"] == 0
+    run = subprocess.run([script, "--seed", "0", "allocate"], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == ""

@@ -122,6 +122,11 @@ class TestSerialization:
         with pytest.raises(DomainError, match="line 1"):
             parse_config("what is this")
 
+    def test_key_set_twice_in_file(self):
+        # the last value would win without a word
+        with pytest.raises(DomainError, match="lines 1 and 3: key 'link.sir_db' set twice"):
+            parse_config("link.sir_db = 20\n# again\nlink.sir_db = -20\n")
+
     def test_unknown_key_in_file(self):
         # a removed key is unknown too: cp_fraction alone sets the guard time
         for text in ("nb.carrier_hz = 1e6\n", "ofdm.postfix_s = 0.0\n"):

@@ -234,8 +234,8 @@ class TestOutputs:
 
     def test_json_sidecar(self, base_cfg, tmp_path, capsys, sweep_reference_csv):
         out = tmp_path / "sweep.csv"
-        assert main(["--trials", "5", "--seed", "3", "--workers", "1", "--output", str(out),
-                     "sweep-snr", "--grid", "10", "--sir-db", "10"]) == 0
+        assert main(["sweep-snr", "--trials", "5", "--seed", "3", "--workers", "1",
+                     "--output", str(out), "--grid", "10", "--sir-db", "10"]) == 0
         cfg = updated(base_cfg, {"link.sir_db": 10.0})
         records = run_sweep(SweepSpec(SweepKind.SNR, (10.0,), 5, 3), cfg)
         assert out.read_text() == sweep_reference_csv(records)
@@ -246,6 +246,6 @@ class TestOutputs:
         assert payload["records"] == [dataclasses.asdict(r) for r in records]
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path, capsys):
-        assert main(["--trials", "5", "--workers", "1", "--output", str(tmp_path / "out.csv"),
-                     "sweep-snr", "--grid", "20"]) == 0
+        assert main(["sweep-snr", "--trials", "5", "--workers", "1",
+                     "--output", str(tmp_path / "out.csv"), "--grid", "20"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]

@@ -421,7 +421,7 @@ class TestProfileUtilities:
 
     def test_csv_single(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "prof.csv"
-        assert main(["--output", str(out), "profile-dump"]) == 0
+        assert main(["profile-dump", "--output", str(out)]) == 0
         profile = calibrated_profile(base_cfg)
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "k,variance_analytic"
@@ -432,7 +432,7 @@ class TestProfileUtilities:
 
     def test_csv_paired(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "prof.csv"
-        assert main(["--seed", "0", "--output", str(out), "profile-dump",
+        assert main(["profile-dump", "--seed", "0", "--output", str(out),
                      "--mc-symbols", "16"]) == 0
         profile = calibrated_profile(base_cfg)
         mc = mc_variance(base_cfg, profile.symbol_power, 16, np.random.default_rng(0))

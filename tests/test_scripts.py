@@ -8,11 +8,12 @@ byte, the ones frozen in tests/data/.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, run_sweep
+from ofdm_bitload import SweepKind, SweepSpec, SystemConfig, cli, run_sweep
 
 FN_GRID = tuple(np.round(np.arange(0.40, 0.701, 0.02), 10))
 SNR_GRID = tuple(float(x) for x in range(0, 41, 5))
@@ -54,7 +55,7 @@ def test_script_stops_at_a_failed_sweep(tmp_path, capsys, load_script):
 
 
 @pytest.mark.parametrize("output", [["--output", "mine.csv"], ["--output=mine.csv"],
-                                    ["--out", "mine.csv"]])
+                                    ["--out", "mine.csv"], ["--output="]])
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_output_flag_is_usage_error(tmp_path, capsys, load_script, name, output):
     # the script names its own files, so a given --output could only be ignored
@@ -62,21 +63,27 @@ def test_output_flag_is_usage_error(tmp_path, capsys, load_script, name, output)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage: {name}.py")
-    assert "--output is not accepted" in captured.err
+    assert f"unrecognized arguments: {' '.join(output)}" in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_help_shows_the_script_and_the_cli_flags(tmp_path, capsys, load_script, name):
     module = load_script(name)
-    # argparse takes --he for --help, so the script must too
+    # argparse takes --he for --help
     for flag in ("--help", "--he"):
         assert module.main([flag]) == 0
         out = capsys.readouterr().out
-        assert out.startswith(module.__doc__)
-        assert out.count("usage: ofdm-bitload") == 1
+        assert out.startswith(f"usage: {name}.py")
+        assert module.__doc__ in out
         assert "--trials TRIALS" in out
+        words = " ".join(out.split())
+        assert "(default 2000)" in words and "(default 1)" in words
         assert list(tmp_path.iterdir()) == []
+    # the script's defaults stay in its own parser: set_defaults writes
+    # through to the actions a parser shares with its parents
+    args = cli._build_parser().parse_args(["sweep-snr"])
+    assert (args.trials, args.workers) == (100, os.cpu_count() or 1)
 
 
 def test_sweep_csvs_match_their_frozen_bytes(regenerated_csvs, frozen_dir,
