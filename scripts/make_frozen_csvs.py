@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Write the frozen sweep CSVs that the test suite compares byte for byte.
+"""Write the frozen output CSVs that the test suite compares byte for byte.
 
 The three paper-figure scripts at 20 trials, seed 5 (14 CSVs); the
 worker-invariance criterion's sweep, 600 trials over SNR 10 and 30 dB at
-seed 2026, which crosses the 256-trial chunk boundary; and the golden
-Table-1 point, 10^4 trials at SNR 20 dB, SIR 0 dB, F_n 0.52, seed 42. Only
-the CSVs are frozen, not their JSON sidecars. The test suite runs
+seed 2026, which crosses the 256-trial chunk boundary; the golden Table-1
+point, 10^4 trials at SNR 20 dB, SIR 0 dB, F_n 0.52, seed 42; and three
+Monte Carlo outputs at seed 3, each over 4097 blocks, which cross the
+2000-block chunk boundary twice: profile-dump's variance_mc column at the
+defaults and at F_n 0.437, SIR -10 dB, and the Gaussian-premise report of
+the first drawn allocation that meets its target. The report pins that
+draws made between chunks keep their place in the rng stream. Only the
+CSVs are frozen, not their JSON sidecars. The test suite runs
 write_csvs once per session (the regenerated_csvs fixture in
 tests/conftest.py); tests/test_scripts.py::test_sweep_csvs_match_their_frozen_bytes
 compares every CSV byte for byte with tests/data/, and acceptance criterion 10
@@ -24,7 +29,10 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from ofdm_bitload import cli
+import numpy as np
+
+from ofdm_bitload import (AllocationStatus, SystemConfig, allocate, calibrated_profile, cli,
+                          draw_realization, gaussian_premise_report, sinr)
 
 import run_fn_sweep
 import run_sigma_h_sweep
@@ -41,7 +49,29 @@ RUNS = [
                 "--output", "workers_snr_sweep.csv", "--grid", "10,30"]),
     (cli.main, ["sweep-snr", "--trials", "10000", "--seed", "42", "--workers", "1",
                 "--output", "golden_snr_sweep.csv", "--grid", "20"]),
+    (cli.main, ["profile-dump", "--seed", "3", "--mc-symbols", "4097",
+                "--output", "mc_profile.csv"]),
+    (cli.main, ["profile-dump", "--seed", "3", "--mc-symbols", "4097",
+                "--fn", "0.437", "--sir-db", "-10", "--output", "mc_profile_fn0.437_sir-10.csv"]),
 ]
+PREMISE_CSV = "premise_report.csv"
+
+
+def premise_csv(seed: int = 3, num_symbols: int = 4097) -> str:
+    """gaussian_premise_report's three floats, as CSV, at the defaults for the
+    first drawn allocation that meets its target."""
+    cfg = SystemConfig()
+    profile = calibrated_profile(cfg)
+    rng = np.random.default_rng(seed)
+    while True:
+        realization = draw_realization(cfg.channel, cfg.ofdm, rng)
+        gammas = sinr(realization.gains_sq, cfg.link.symbol_power, cfg.link.noise_variance,
+                      cfg.link.est_error_var, profile.variances)
+        result = allocate(gammas, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
+        if result.status is AllocationStatus.MET:
+            report = gaussian_premise_report(cfg, realization, result, profile,
+                                             num_symbols, rng)
+            return cli._csv(report, [report.values()])
 
 
 def write_csvs(out_dir) -> list:
@@ -55,6 +85,7 @@ def write_csvs(out_dir) -> list:
                     raise RuntimeError(f"{entry.__module__} {' '.join(argv)} failed")
         finally:
             os.chdir(cwd)
+        (Path(tmp) / PREMISE_CSV).write_text(premise_csv())
         names = sorted(p.name for p in Path(tmp).glob("*.csv"))
         for name in names:
             shutil.copyfile(Path(tmp) / name, out_dir / name)

@@ -54,7 +54,7 @@ def sweep_reference_csv():
 
 @pytest.fixture
 def frozen_dir() -> Path:
-    """tests/data/: the sweep CSVs that scripts/make_frozen_csvs.py froze."""
+    """tests/data/: the output CSVs that scripts/make_frozen_csvs.py froze."""
     return FROZEN_DIR
 
 
