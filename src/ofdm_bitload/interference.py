@@ -24,7 +24,8 @@ N-point FFT. Two independent routes compute the variance of FFT bin k:
   FFT bins; the verifier's Gaussian-premise report draws its interferer
   through it too. The synthesis is polyphase: each block's delay moves to
   the midpoint of one of ``_PHASES`` = 128 cells of T / 128, and the pulse is
-  evaluated once per phase drawn. The estimator's exact expectation is
+  evaluated once per phase drawn in one ``_nb_spectra`` run, however many
+  chunks it takes. The estimator's exact expectation is
   therefore the symbol-by-symbol variance averaged over the 128 midpoint
   delays; it differs from the closed form by at most 1.44e-5 of the profile
   peak over the configurations measured (about 1e-11 at the defaults).
@@ -140,8 +141,10 @@ def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile
 # block's delay to the midpoint of its cell of T / _PHASES. The estimator's
 # expectation then differs from the closed form by at most 1.44e-5 of the
 # profile peak (measured at pulse span 2, roll-off 0.35, 56 kHz, N 102; 1e-11
-# at the defaults), and mc_variance over 10 000 blocks takes 0.32-0.41 s on
-# 2 cores with numpy 2.4, against 3.9-4.5 s with a pulse lattice per block.
+# at the defaults). mc_variance over 10 000 blocks at the defaults takes
+# 0.12-0.13 s (median of 5, two runs) on 2 cores with numpy 2.4, against
+# 0.29-0.34 s when each 2000-block call evaluated its own phases and 3.9-4.5 s
+# with a pulse lattice per block.
 _PHASES = 128
 # Blocks per synthesize_nb_blocks call in _nb_spectra. Each call draws its own
 # delays and symbols, so this fixes how the rng stream maps to blocks.
@@ -149,7 +152,7 @@ _MC_BLOCKS = 2000
 
 
 def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
-                         rng: np.random.Generator) -> np.ndarray:
+                         rng: np.random.Generator, *, lattices=None) -> np.ndarray:
     """Interferer sample blocks (num_blocks x N) with QPSK symbols.
 
     Each block gets a fresh delay xi uniform in [0, T); the delay's uniform
@@ -162,6 +165,11 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     cells are uniform, so the expected |DFT|^2 is the symbol sum averaged
     over the P midpoints, which is within 1.44e-5 of the closed form's peak
     (see _PHASES).
+
+    lattices maps a cell to its pulse lattice (L x N); the call evaluates
+    only the drawn cells it lacks and adds them. _nb_spectra passes one dict
+    to all its calls, so each drawn phase is evaluated once per run. The
+    default, a new dict, keeps nothing between calls.
     """
     n_sc = cfg.ofdm.num_subcarriers
     t_s = cfg.ofdm.sample_period_s
@@ -177,12 +185,16 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     # the clip puts a delay of exactly T, the interval's closed end, in the last cell
     cell = np.minimum(np.floor(xi * _PHASES / big_t), _PHASES - 1)
     cells, inverse = np.unique(cell, return_inverse=True)
-    delay = (cells + 0.5) * big_t / _PHASES
-    t = -delay[:, None, None] + np.arange(n_sc) * t_s - ls[None, :, None] * big_t
+    lattices = {} if lattices is None else lattices
+    new = cells[[c not in lattices for c in cells.tolist()]]
+    if new.size:
+        delay = (new + 0.5) * big_t / _PHASES
+        t = -delay[:, None, None] + np.arange(n_sc) * t_s - ls[None, :, None] * big_t
+        lattices.update(zip(new.tolist(), rrc_pulse(cfg.nb, t)))
     out = np.empty((num_blocks, n_sc), dtype=complex)
-    for j, lattice in enumerate(rrc_pulse(cfg.nb, t)):
+    for j, c in enumerate(cells.tolist()):
         rows = inverse == j
-        out[rows] = symbols[rows] @ lattice
+        out[rows] = symbols[rows] @ lattices[c]
     return out * _carrier(cfg.nb.normalized_freq, n_sc)
 
 
@@ -192,12 +204,14 @@ def _nb_spectra(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
 
     The one route from synthesized samples to FFT bins. Each chunk is drawn
     only when the consumer asks for it, so draws the consumer makes between
-    chunks keep their place in the rng stream.
+    chunks keep their place in the rng stream. The chunks share one dict of
+    pulse lattices, which lasts only as long as this run.
     """
     n_sc = cfg.ofdm.num_subcarriers
+    lattices = {}
     for start in range(0, num_blocks, _MC_BLOCKS):
         blocks = min(_MC_BLOCKS, num_blocks - start)
-        yield np.fft.fft(synthesize_nb_blocks(cfg, sigma_b2, blocks, rng),
+        yield np.fft.fft(synthesize_nb_blocks(cfg, sigma_b2, blocks, rng, lattices=lattices),
                          axis=1) / np.sqrt(n_sc)
 
 

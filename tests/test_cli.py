@@ -234,6 +234,12 @@ class TestVerify:
         assert summary["measured_mean_ber"] >= 0.0
         assert summary["target_ber"] == 1e-4
 
+    def test_stopped_allocation_sends_nothing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--sir-db", "-20", "--seed", "0",
+                               "--symbols", "200")
+        assert code == 0
+        assert json.loads(out) == {"status": "transmission_stopped", "throughput_bits": 0}
+
 
 class TestConfigHandling:
     def test_config_file_flag(self, capsys, tmp_path):

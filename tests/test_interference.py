@@ -343,6 +343,47 @@ class TestPolyphaseSynthesis:
             for b in range(delays.size)])
         assert_blocks_close(whole, alone)
 
+    @given(span=st.integers(2, 16), rolloff=st.floats(0.1, 0.9),
+           nb_bandwidth=st.floats(5e3, 60e3), n_sc=st.integers(16, 256),
+           fn=st.floats(0.0, 1.0, exclude_max=True), num_blocks=st.integers(1, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_mc_variance_equals_chunks_without_shared_lattices(self, span, rolloff,
+                                                               nb_bandwidth, n_sc, fn,
+                                                               num_blocks, seed):
+        # 5-block chunks, so a run crosses up to 40 chunk boundaries and reuses
+        # most of its phases; the reference evaluates every chunk's own phases
+        cfg = updated(SystemConfig(), {
+            "nb.pulse_span_symbols": span, "ofdm.num_subcarriers": n_sc,
+            "nb.rolloff": rolloff, "nb.bandwidth_hz": nb_bandwidth,
+            "nb.normalized_freq": fn})
+        chunk = 5
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interference, "_MC_BLOCKS", chunk)
+            fast = mc_variance(cfg, 1.0, num_blocks, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        acc = np.zeros(n_sc)
+        for start in range(0, num_blocks, chunk):
+            blocks = synthesize_nb_blocks(cfg, 1.0, min(chunk, num_blocks - start), rng)
+            acc += (np.abs(np.fft.fft(blocks, axis=1) / np.sqrt(n_sc)) ** 2).sum(axis=0)
+        np.testing.assert_array_equal(fast.variances, acc / num_blocks)
+
+    def test_shared_lattices_evaluate_each_phase_once(self, base_cfg, monkeypatch):
+        evaluated = []
+
+        def counting_pulse(nb, t):
+            evaluated.append(t.shape[0])
+            return rrc_pulse(nb, t)
+
+        monkeypatch.setattr(interference, "rrc_pulse", counting_pulse)
+        rng, lattices = np.random.default_rng(6), {}
+        shared = [synthesize_nb_blocks(base_cfg, 1.0, n, rng, lattices=lattices)
+                  for n in (300, 200)]
+        assert sum(evaluated) == len(lattices) <= interference._PHASES
+        rng = np.random.default_rng(6)
+        for got, n in zip(shared, (300, 200)):
+            np.testing.assert_array_equal(got, synthesize_nb_blocks(base_cfg, 1.0, n, rng))
+
     # The estimator's expectation is the symbol sum over the P midpoint
     # delays. Measured gap to the closed form at P = 128, as a share of the
     # peak: 1.0e-11 at the defaults, and 1.44e-5, 1.23e-6 and 2.41e-6 at the
