@@ -54,28 +54,27 @@ RUNS = [
     (cli.main, ["profile-dump", "--seed", "3", "--mc-symbols", "4097",
                 "--fn", "0.437", "--sir-db", "-10", "--output", "mc_profile_fn0.437_sir-10.csv"]),
 ]
-PREMISE_CSV = "premise_report.csv"
 
 
-def premise_csv(seed: int = 3, num_symbols: int = 4097) -> str:
-    """gaussian_premise_report's three floats, as CSV, at the defaults for the
-    first drawn allocation that meets its target."""
+def premise_csv() -> str:
+    """gaussian_premise_report's three floats, as CSV, over 4097 symbols at
+    the defaults and seed 3, for the first drawn allocation that meets its
+    target."""
     cfg = SystemConfig()
     profile = calibrated_profile(cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     while True:
         realization = draw_realization(cfg.channel, cfg.ofdm, rng)
         gammas = sinr(realization.gains_sq, cfg.link.symbol_power, cfg.link.noise_variance,
                       cfg.link.est_error_var, profile.variances)
         result = allocate(gammas, cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
         if result.status is AllocationStatus.MET:
-            report = gaussian_premise_report(cfg, realization, result, profile,
-                                             num_symbols, rng)
+            report = gaussian_premise_report(cfg, realization, result, profile, 4097, rng)
             return cli._csv(report, [report.values()])
 
 
 def write_csvs(out_dir) -> list:
-    """Run every entry of RUNS and copy the CSVs it writes into out_dir."""
+    """Run every entry of RUNS, add premise_report.csv, and copy the CSVs into out_dir."""
     out_dir, cwd = Path(out_dir).resolve(), os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         os.chdir(tmp)
@@ -85,7 +84,7 @@ def write_csvs(out_dir) -> list:
                     raise RuntimeError(f"{entry.__module__} {' '.join(argv)} failed")
         finally:
             os.chdir(cwd)
-        (Path(tmp) / PREMISE_CSV).write_text(premise_csv())
+        (Path(tmp) / "premise_report.csv").write_text(premise_csv())
         names = sorted(p.name for p in Path(tmp).glob("*.csv"))
         for name in names:
             shutil.copyfile(Path(tmp) / name, out_dir / name)

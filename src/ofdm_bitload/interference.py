@@ -141,10 +141,9 @@ def analytic_variance(cfg: SystemConfig, sigma_b2: float) -> InterferenceProfile
 # block's delay to the midpoint of its cell of T / _PHASES. The estimator's
 # expectation then differs from the closed form by at most 1.44e-5 of the
 # profile peak (measured at pulse span 2, roll-off 0.35, 56 kHz, N 102; 1e-11
-# at the defaults). mc_variance over 10 000 blocks at the defaults takes
-# 0.12-0.13 s (median of 5, two runs) on 2 cores with numpy 2.4, against
-# 0.29-0.34 s when each 2000-block call evaluated its own phases and 3.9-4.5 s
-# with a pulse lattice per block.
+# at the defaults), and mc_variance over 10 000 blocks takes 0.12-0.13 s
+# (median of 5, two runs) on 2 cores with numpy 2.4, against 3.9-4.5 s with
+# a pulse lattice per block.
 _PHASES = 128
 # Blocks per synthesize_nb_blocks call in _nb_spectra. Each call draws its own
 # delays and symbols, so this fixes how the rng stream maps to blocks.
