@@ -9,12 +9,14 @@ Monte Carlo outputs at seed 3, each over 4097 blocks, which cross the
 2000-block chunk boundary twice: profile-dump's variance_mc column at the
 defaults and at F_n 0.437, SIR -10 dB, and the Gaussian-premise report of
 the first drawn allocation that meets its target. The report pins that
-draws made between chunks keep their place in the rng stream. Only the
-CSVs are frozen, not their JSON sidecars. The test suite runs
-write_csvs once per session (the regenerated_csvs fixture in
-tests/conftest.py); tests/test_scripts.py::test_sweep_csvs_match_their_frozen_bytes
-compares every CSV byte for byte with tests/data/, and acceptance criterion 10
-the golden one.
+draws made between chunks keep their place in the rng stream. Two more
+files hold the stdout of allocate and of verify --symbols 2000 at seed 3,
+whose one trial meets its target. Only the CSVs and these two stdout files
+are frozen, not the CSVs' JSON sidecars. The test suite runs write_csvs once
+per session (the regenerated_csvs fixture in tests/conftest.py);
+tests/test_scripts.py::test_sweep_csvs_match_their_frozen_bytes compares
+every file byte for byte with tests/data/, and acceptance criterion 10 the
+golden one.
 
     python scripts/make_frozen_csvs.py [DIR]    (default: tests/data/)
 
@@ -22,6 +24,7 @@ Re-freeze only for a change that is deliberately more exact, and record the
 old and new digests in CHANGES.md.
 """
 
+import io
 import os
 import shutil
 import sys
@@ -54,6 +57,11 @@ RUNS = [
     (cli.main, ["profile-dump", "--seed", "3", "--mc-symbols", "4097",
                 "--fn", "0.437", "--sir-db", "-10", "--output", "mc_profile_fn0.437_sir-10.csv"]),
 ]
+# file name -> CLI argv whose stdout (one JSON line) that file freezes
+STDOUT_RUNS = {
+    "allocate_stdout.txt": ["allocate", "--seed", "3"],
+    "verify_stdout.txt": ["verify", "--seed", "3", "--symbols", "2000"],
+}
 
 
 def premise_csv() -> str:
@@ -74,7 +82,8 @@ def premise_csv() -> str:
 
 
 def write_csvs(out_dir) -> list:
-    """Run every entry of RUNS, add premise_report.csv, and copy the CSVs into out_dir."""
+    """Run every entry of RUNS and STDOUT_RUNS, add premise_report.csv, and
+    copy the frozen files into out_dir."""
     out_dir, cwd = Path(out_dir).resolve(), os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         os.chdir(tmp)
@@ -82,10 +91,15 @@ def write_csvs(out_dir) -> list:
             for entry, argv in RUNS:
                 if entry(argv):
                     raise RuntimeError(f"{entry.__module__} {' '.join(argv)} failed")
+            for name, argv in STDOUT_RUNS.items():
+                with redirect_stdout(io.StringIO()) as out:
+                    if cli.main(argv):
+                        raise RuntimeError(f"ofdm-bitload {' '.join(argv)} failed")
+                Path(name).write_text(out.getvalue())
         finally:
             os.chdir(cwd)
         (Path(tmp) / "premise_report.csv").write_text(premise_csv())
-        names = sorted(p.name for p in Path(tmp).glob("*.csv"))
+        names = sorted([*(p.name for p in Path(tmp).glob("*.csv")), *STDOUT_RUNS])
         for name in names:
             shutil.copyfile(Path(tmp) / name, out_dir / name)
     return names
