@@ -19,9 +19,9 @@ The numerator is one sequential cumulative sum of the loop's own terms
 A sweep needs only each trial's loaded bits, so its rows sort only what
 they need and take the first of three exits that applies: a row whose
 smallest BER is above the target by more than the rounding bound is stopped
-with no sort; a row with fewer than K = 64 keys above the target sorts its
-K largest keys and is done if it meets within them; any other row takes the
-full sort. All three give the full sort's bits.
+with no BER table and no sort; a row with fewer than K = 64 keys above the
+target sorts its K largest keys and is done if it meets within them; any
+other row takes the full sort. All three give the full sort's bits.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ _BITS = np.array([int(c) for c in ACTIVE_LADDER])  # bits per symbol at ladder l
 _BITS_NEXT = np.append(_BITS[1:], 0)                 # bits per symbol after step (k, j)
 _DROP = _BITS - _BITS_NEXT                           # bits that step (k, j) removes
 _LOADS = ACTIVE_LADDER + (Constellation.NULL,)       # load after j steps down
+_BLOCK = 16  # rows per BER table in a sweep, which bounds its working memory
 # K: the keys a sweep row sorts before it takes the full sort. Trials that
 # meet near the SNR saturation take 18-21 steps in the median and 60-71 at
 # the 99th percentile; K = 32, 48, 96 and 128 were all slower than 64.
@@ -112,14 +113,16 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
 
     1. Provably stopped: its smallest BER exceeds the target by more than the
        rounding bound below. Every prefix's mean BER is at least that BER, so
-       none meets the target: 0 bits, no sort.
+       none meets the target: 0 bits, with no BER table.
     2. Head: fewer than K of its keys exceed the target. The keys strictly
        above the K-th largest are the first steps of the full stable order,
        so the prefix scan over them is the full one's; a row met there is done.
     3. Full: ``_full``'s stable sort and scan, on the same table and keys.
+
+    Exit 1 is decided for all rows at once; the others build the BER table
+    of at most _BLOCK live rows at a time.
     """
     rows, n_sc = g.shape
-    table, key, num0 = _ber_table(g, cp_loss)
     # A prefix's exact numerator is at least min(BER) * den. The computed one
     # is num0 (an N-term dot, error <= N u sum|6 b|, u = 2^-53) plus up to 8N
     # terms added in sequence (error <= 8N u sum|x|), each term a product
@@ -129,9 +132,32 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
     # den >= 1 on every prefix that can meet. 2^-46 (target + N^2) = 128 u
     # (target + N^2) covers both, and the rounding of this bound itself.
     bound = target_ber + 2.0 ** -46 * (target_ber + n_sc * n_sc)
-    live = table.reshape(rows, -1).min(axis=1) <= bound
+    # Every level's BER falls as the SINR rises, so in exact arithmetic a
+    # row's smallest BER is the smallest of the three distinct levels' BERs
+    # at its largest SINR: the same ber calls on the same floats as the
+    # table's entries there. The computed BER is monotone in the SINR except
+    # through erfc, whose relative error is below 5.7e-14 (Cephes' documented
+    # peak) where a BER is near the bound (at least 2^-46 N^2, so erfc's
+    # argument is below 8); the products around it add a few u. So an entry
+    # at a smaller SINR sits at most a relative 2^-42 below these, and a row
+    # within a relative 2^-36 of the bound goes on to the table.
+    peak = g.max(axis=1)
+    low = np.minimum.reduce([ber(c, peak, cp_loss) for c in ACTIVE_LADDER[:3]])
+    live = np.flatnonzero(low <= bound * (1.0 + 2.0 ** -36))
+    bits = np.zeros(rows, dtype=np.int64)
+    for a in range(0, len(live), _BLOCK):
+        at = live[a:a + _BLOCK]
+        bits[at] = _live_bits(g[at], target_ber, cp_loss)
+    return bits
+
+
+def _live_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray:
+    """``_loaded_bits`` exits 2 and 3, on one BER table of rows."""
+    rows, n_sc = g.shape
+    table, key, num0 = _ber_table(g, cp_loss)
     k = min(_HEAD, 4 * n_sc)
-    head = live & ((key > target_ber).sum(axis=1) < k)
+    head = (key > target_ber).sum(axis=1) < k
+    full = np.ones(rows, dtype=bool)
     bits = np.zeros(rows, dtype=np.int64)
     if head.any():
         hkey = key[head]
@@ -147,10 +173,10 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
         done = met.any(axis=1)
         rows_done = np.flatnonzero(head)[done]
         bits[rows_done] = den[done, met[done].argmax(axis=1)]
-        live[rows_done] = False
-    if live.any():
-        _, _, den, steps = _full(table[live], key[live], num0[live], target_ber)
-        bits[live] = den[np.arange(len(den)), steps]
+        full[rows_done] = False
+    if full.any():
+        _, _, den, steps = _full(table[full], key[full], num0[full], target_ber)
+        bits[full] = den[np.arange(len(den)), steps]
     return bits
 
 

@@ -30,16 +30,16 @@ def tap_variances(channel_cfg: ChannelConfig) -> np.ndarray:
 def draw_realization(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
                      rng: np.random.Generator) -> ChannelRealization:
     """One circularly-symmetric complex Gaussian tap draw and its DFT."""
-    one = _draw_stacked(channel_cfg, ofdm_cfg, [rng])
+    one = _from_normals(channel_cfg, ofdm_cfg, rng.standard_normal((1, 2 * channel_cfg.num_taps)))
     return ChannelRealization(one.freq_response[0], one.gains_sq[0])
 
 
-def _draw_stacked(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
-                  rngs) -> ChannelRealization:
-    """One draw per generator, one row each, with one DFT over all rows."""
+def _from_normals(channel_cfg: ChannelConfig, ofdm_cfg: OfdmConfig,
+                  normals: np.ndarray) -> ChannelRealization:
+    """One draw per row of 2L standard normals (the taps' real parts, then
+    their imaginary parts), with one DFT over all rows."""
     n = channel_cfg.num_taps
     std = np.sqrt(tap_variances(channel_cfg) / 2.0)
-    taps = std * np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                           for rng in rngs])
+    taps = std * (normals[:, :n] + 1j * normals[:, n:])
     freq = np.fft.fft(taps, ofdm_cfg.num_subcarriers, axis=1)
     return ChannelRealization(freq_response=freq, gains_sq=np.abs(freq) ** 2)

@@ -233,8 +233,14 @@ def _cmd_verify(args, cfg: SystemConfig) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse would take a leading flag's value for the subcommand
+        flag = argv[0].partition("=")[0] if argv else ""
+        if flag.startswith("--") and not "--help".startswith(flag):
+            parser.error(f"{flag} must follow the subcommand: ofdm-bitload <subcommand> [flags]")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

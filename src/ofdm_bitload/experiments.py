@@ -4,7 +4,9 @@ channel-estimation error variance.
 Reproducibility contract: every trial derives its own random stream from
 (base_seed, grid point, trial index) via numpy SeedSequence spawn keys, and
 each chunk returns exact integer sums of whole-bit throughputs, so results
-are bit-identical for any worker count.
+are bit-identical for any worker count. A chunk computes its trials' channel
+normals in arrays (``streams.fast_normals``), bit for bit the streams' own,
+and draws from ``trial_stream`` only the trials the arrays do not cover.
 """
 
 from __future__ import annotations
@@ -20,14 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator import AllocationResult, _loaded_bits, allocate
-from .channel import _draw_stacked
+from .channel import _from_normals
 from .config import _KEY_MAP, SystemConfig, updated
 from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
+from .streams import fast_normals
 
-_CHUNK = 256  # trials per pool task; the integer sums do not depend on it
-_BLOCK = 16   # trials per array pass, which bounds the pass's working memory
+_CHUNK = 256  # trials per pool task and per draw; the integer sums do not depend on it
+# The most trials a sweep point takes. run_sweep lists every (point, chunk)
+# task before any trial runs, about 100 bytes each: at this bound the list
+# holds 34 MiB over the 9-point default SNR grid and 58 MiB over the
+# 16-point F_n grid (tracemalloc), where 10^9 trials would hold GiBs.
+_MAX_TRIALS = 10 ** 7
 
 
 class SweepKind(enum.Enum):
@@ -57,6 +64,8 @@ class SweepSpec:
             value = getattr(self, name)  # a Python or numpy integer, but not a bool
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
                 raise DomainError(f"{name} must be an integer >= {low}")
+        if self.trials > _MAX_TRIALS:
+            raise DomainError(f"trials must be at most {_MAX_TRIALS}")
         for key in self.fixed:  # keys only: run_sweep judges a value against its cfg
             if key not in _KEY_MAP:
                 raise DomainError(f"unknown config key: {key}")
@@ -79,6 +88,16 @@ def trial_stream(base_seed: int, trial_index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=base_seed, spawn_key=(trial_index,)))
 
 
+def _trial_normals(base_seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """The first ``count`` standard normals of each trial_stream start..stop-1,
+    one row each: computed in arrays, or drawn from the trial's own stream
+    where the arrays do not give numpy's."""
+    normals, exact = fast_normals(base_seed, start, stop, count)
+    for i in np.flatnonzero(~exact).tolist():
+        normals[i] = trial_stream(base_seed, start + i).standard_normal(count)
+    return normals
+
+
 _KIND_ID = {SweepKind.FN: 1, SweepKind.SNR: 2, SweepKind.SIGMA_H: 3}
 
 
@@ -93,8 +112,8 @@ def point_seed(base_seed: int, kind: SweepKind, point_index: int) -> int:
 def trial_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
                 start: int, stop: int, base_seed: int) -> np.ndarray:
     """SINRs of trials start..stop-1, one row each, each from its own channel draw."""
-    rngs = [trial_stream(base_seed, t) for t in range(start, stop)]
-    gains_sq = _draw_stacked(cfg.channel, cfg.ofdm, rngs).gains_sq
+    normals = _trial_normals(base_seed, start, stop, 2 * cfg.channel.num_taps)
+    gains_sq = _from_normals(cfg.channel, cfg.ofdm, normals).gains_sq
     return sinr(gains_sq, cfg.link.symbol_power, cfg.link.noise_variance,
                 cfg.link.est_error_var, profile.variances)
 
@@ -108,16 +127,11 @@ def run_trial(cfg: SystemConfig, profile: InterferenceProfile,
 
 def _chunk_stats(cfg: SystemConfig, profile: InterferenceProfile,
                  start: int, stop: int, base_seed: int) -> tuple[int, int, int]:
-    """Throughput sum, sum of squares and stopped count, _BLOCK trials per pass."""
-    s = s2 = stopped = 0
-    for a in range(start, stop, _BLOCK):
-        g = trial_sinrs(cfg, profile, a, min(a + _BLOCK, stop), base_seed)
-        # a met row carries bits; a stopped row ends with none
-        bits = _loaded_bits(g, cfg.link.target_ber, cfg.ofdm.cp_loss_factor).tolist()
-        s += sum(bits)
-        s2 += sum(b * b for b in bits)
-        stopped += bits.count(0)
-    return s, s2, stopped
+    """Throughput sum, sum of squares and stopped count of trials start..stop-1."""
+    g = trial_sinrs(cfg, profile, start, stop, base_seed)
+    # a met row carries bits; a stopped row ends with none
+    bits = _loaded_bits(g, cfg.link.target_ber, cfg.ofdm.cp_loss_factor).tolist()
+    return sum(bits), sum(b * b for b in bits), bits.count(0)
 
 
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[SweepRecord]:

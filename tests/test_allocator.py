@@ -264,6 +264,8 @@ SWEEP_ROWS = {
     "pool": lambda rng, n: rng.choice(rng.uniform(0, 1e3, 3), n),  # tied keys
     # BERs that underflow to 0, so the K-th key is often a tied 0
     "underflow": lambda rng, n: rng.choice([1e5, 1e6, *10 ** rng.uniform(1, 3, 2)], n),
+    # the largest SINR, which decides exit 1, tied across subcarriers
+    "tied-max": lambda rng, n: np.minimum(10 ** rng.uniform(-1, 4, n), 10 ** rng.uniform(0, 3)),
 }
 
 
@@ -276,17 +278,18 @@ def _ulps(x, k):
 
 @st.composite
 def sweep_blocks(draw):
-    """A block of SINR rows and a target that puts its rows on the edges of
-    _loaded_bits' exits: the step count near K, the minimum BER near the
-    stopped bound, or a fixed target."""
+    """A chunk of SINR rows, up to two BER-table blocks, and a target that
+    puts its rows on the edges of _loaded_bits' exits: the step count near K,
+    the minimum BER near the stopped bound or near the edge of the margin
+    past it that still goes to the table, or a fixed target."""
     n = draw(st.sampled_from([1, 2, 15, 16, 17, 128]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(sorted(SWEEP_ROWS)), min_size=1, max_size=5))
+    kinds = draw(st.lists(st.sampled_from(sorted(SWEEP_ROWS)), min_size=1, max_size=20))
     g = np.stack([SWEEP_ROWS[kind](rng, n) for kind in kinds])
     cp_loss = draw(st.sampled_from([0.8, 1.0]))
     row = draw(st.integers(0, len(g) - 1))
     ulps = draw(st.integers(-2, 2))
-    how = draw(st.sampled_from(["fixed", "near-k", "near-min", "at-bound"]))
+    how = draw(st.sampled_from(["fixed", "near-k", "near-min", "at-bound", "at-margin"]))
     table, key, num0 = _ber_table(g[row:row + 1], cp_loss)
     _, num, den, _ = _full(table, key, num0, 1.0)
     if how == "fixed":
@@ -297,8 +300,10 @@ def sweep_blocks(draw):
         target = num[0, p] / den[0, p]
     elif how == "near-min":
         target = table.min()
-    else:  # the target whose stopped bound, target + margin, is the row's minimum BER
+    elif how == "at-bound":  # the target whose stopped bound is the row's minimum BER
         target = (table.min() - 2.0 ** -46 * n * n) / (1 + 2.0 ** -46)
+    else:  # the target whose bound, widened by 2^-36, is the row's minimum BER
+        target = (table.min() / (1 + 2.0 ** -36) - 2.0 ** -46 * n * n) / (1 + 2.0 ** -46)
     target = _ulps(target, ulps)
     assume(0 < target < 0.5)
     return g, target, cp_loss

@@ -405,6 +405,7 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("usage: ofdm-bitload")
+        assert f"{argv[0]} must follow the subcommand" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

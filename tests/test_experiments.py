@@ -126,6 +126,12 @@ class TestSweepSpec:
         with pytest.raises(DomainError, match="trials"):
             SweepSpec(SweepKind.SNR, (0.0,), trials, 0)
 
+    def test_trials_bounded(self):
+        # run_sweep lists every chunk's task before any trial runs
+        SweepSpec(SweepKind.SNR, (0.0,), experiments._MAX_TRIALS, 0)
+        with pytest.raises(DomainError, match="trials must be at most"):
+            SweepSpec(SweepKind.SNR, (0.0,), experiments._MAX_TRIALS + 1, 0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, False, "0"])
     def test_base_seed_not_a_nonnegative_integer(self, seed):
         with pytest.raises(DomainError, match="base_seed"):
