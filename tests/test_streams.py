@@ -8,6 +8,7 @@ the frozen outputs together.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdm_bitload import calibrated_profile, draw_realization, sinr, updated
@@ -59,3 +60,11 @@ def test_sinrs_equal_one_draw_per_generator(base_cfg):
                                                    cfg.link.noise_variance,
                                                    cfg.link.est_error_var, profile.variances))
 
+
+
+@pytest.mark.parametrize("seed, start", [(-1, 0), (0, -1)])
+def test_negative_seed_or_index_rejected_as_numpy_does(seed, start):
+    with pytest.raises(ValueError):
+        trial_stream(seed, start)
+    with pytest.raises(ValueError):
+        _trial_normals(seed, start, start + 2, 4)
