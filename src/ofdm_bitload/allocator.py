@@ -19,9 +19,16 @@ The numerator is one sequential cumulative sum of the loop's own terms
 A sweep needs only each trial's loaded bits, so its rows sort only what
 they need and take the first of three exits that applies: a row whose
 smallest BER is above the target by more than the rounding bound is stopped
-with no BER table and no sort; a row with fewer than K = 64 keys above the
-target sorts its K largest keys and is done if it meets within them; any
-other row takes the full sort. All three give the full sort's bits.
+with no BER table and no sort; a row with fewer than K = 64 hot subcarriers,
+those whose 64-QAM BER is above the target, sorts only their keys and is done
+if it meets within them; any other row takes the full sort. All three give
+the full sort's bits. The middle exit is exact because a key is a running
+minimum over its subcarrier's levels, so every key above the target is a hot
+subcarrier's. Say m keys are. The first m steps of the full stable order are
+those keys, sorted stably by descending key; after them every active BER is
+at or below the target, so in exact arithmetic the greedy meets by step m;
+and the prefix sums over them are the same terms in the same order, so they
+are the full scan's floats.
 """
 
 from __future__ import annotations
@@ -39,9 +46,9 @@ _BITS_NEXT = np.append(_BITS[1:], 0)                 # bits per symbol after ste
 _DROP = _BITS - _BITS_NEXT                           # bits that step (k, j) removes
 _LOADS = ACTIVE_LADDER + (Constellation.NULL,)       # load after j steps down
 _BLOCK = 16  # rows per BER table in a sweep, which bounds its working memory
-# K: the keys a sweep row sorts before it takes the full sort. Trials that
-# meet near the SNR saturation take 18-21 steps in the median and 60-71 at
-# the 99th percentile; K = 32, 48, 96 and 128 were all slower than 64.
+# K: a sweep row with K or more hot subcarriers skips the sparse exit for the
+# full table. At SNR 40-60 dB and SIR 20 dB a trial has 15-18 hot subcarriers
+# of 128 in the median and 26-32 at the 90th percentile; at SNR 20 dB, all 128.
 _HEAD = 64
 
 
@@ -59,23 +66,35 @@ class AllocationResult:
     iterations: int
 
 
-def _ber_table(g: np.ndarray, cp_loss: float):
-    """BER per row, subcarrier and ladder level (rows x N x 4); its running
-    minimum over the levels, the sort key of each step s = 4k + j (rows x 4N);
-    and each row's starting numerator num0, the bit-weighted BER sum at all
-    64-QAM."""
-    levels = [ber(c, g, cp_loss) for c in ACTIVE_LADDER[:3]]
-    levels.append(levels[2])  # BPSK's BER is QPSK's expression, Q(sqrt(2 g))
-    table = np.stack(levels, axis=-1)
-    key = np.minimum.accumulate(table, axis=-1).reshape(len(g), -1)
+def _levels(l0: np.ndarray, l1: np.ndarray, l2: np.ndarray):
+    """The BER table (rows x n x 4) of the 64-QAM, 16-QAM and QPSK BERs, BPSK's
+    being QPSK's expression Q(sqrt(2 g)), and its running minimum over the
+    levels, level by level: the sort key of each step s = 4k + j (rows x 4n)."""
+    k1 = np.minimum(l0, l1)
+    k2 = np.minimum(k1, l2)
+    return (np.stack([l0, l1, l2, l2], axis=-1),
+            np.stack([l0, k1, k2, k2], axis=-1).reshape(len(l0), -1))
+
+
+def _num0(l0: np.ndarray) -> np.ndarray:
+    """Each row's starting numerator, the bit-weighted BER sum at all 64-QAM."""
+    six = np.full(l0.shape[1], 6.0)
     # one dot per contiguous level-0 row: a strided table[..., 0] may round differently
-    num0 = np.array([np.dot(row, np.full(g.shape[1], 6.0)) for row in levels[0]])
-    return table, key, num0
+    return np.array([np.dot(row, six) for row in l0])
 
 
-def _scan(table: np.ndarray, num0: np.ndarray, order: np.ndarray, target_ber: float):
+def _ber_table(g: np.ndarray, cp_loss: float):
+    """BER per row, subcarrier and ladder level (rows x N x 4); the sort key of
+    each step s = 4k + j (rows x 4N); and each row's starting numerator num0."""
+    l0, l1, l2 = (ber(c, g, cp_loss) for c in ACTIVE_LADDER[:3])
+    return *_levels(l0, l1, l2), _num0(l0)
+
+
+def _scan(table: np.ndarray, num0: np.ndarray, order: np.ndarray, target_ber: float,
+          n_sc: int):
     """The bit-weighted BER sum and the active bits after each prefix of the
-    steps ``order`` (rows x len+1), and where the target is met."""
+    steps ``order`` (rows x len+1) of ``n_sc`` subcarriers, and where the
+    target is met. ``table`` may hold only some of the subcarriers."""
     rows, steps = order.shape
     flat = table.ravel()
     at = order + flat.size // rows * np.arange(rows)[:, None]
@@ -89,7 +108,7 @@ def _scan(table: np.ndarray, num0: np.ndarray, order: np.ndarray, target_ber: fl
     num = np.add.accumulate(seq, axis=1, out=seq)[:, ::2]
     dropped = np.zeros((rows, steps + 1), dtype=np.int64)
     np.cumsum(_DROP[level], axis=1, out=dropped[:, 1:])
-    den = 6 * table.shape[1] - dropped
+    den = 6 * n_sc - dropped
     return num, den, (den > 0) & (num <= target_ber * den)
 
 
@@ -102,7 +121,7 @@ def _full(table: np.ndarray, key: np.ndarray, num0: np.ndarray, target_ber: floa
     each row's step count, 4N where it stops transmission.
     """
     order = np.argsort(-key, axis=1, kind="stable")
-    num, den, met = _scan(table, num0, order, target_ber)
+    num, den, met = _scan(table, num0, order, target_ber, table.shape[1])
     steps = np.where(met.any(axis=1), met.argmax(axis=1), key.shape[1])
     return order, num, den, steps
 
@@ -114,13 +133,19 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
     1. Provably stopped: its smallest BER exceeds the target by more than the
        rounding bound below. Every prefix's mean BER is at least that BER, so
        none meets the target: 0 bits, with no BER table.
-    2. Head: fewer than K of its keys exceed the target. The keys strictly
-       above the K-th largest are the first steps of the full stable order,
-       so the prefix scan over them is the full one's; a row met there is done.
-    3. Full: ``_full``'s stable sort and scan, on the same table and keys.
+    2. Sparse: fewer than K of its subcarriers are hot, their 64-QAM BER
+       above the target. Only hot subcarriers have keys above the target, as
+       a key is a running minimum over the levels; say m keys are. Their
+       stable sort, with the hot subcarriers packed in index order, gives the
+       first m steps of the full stable order, and the prefix scan over them
+       is the full one's, term for term. After those steps every active BER
+       is at or below the target, so in exact arithmetic the row meets by
+       step m and is done; only rounding can send it on.
+    3. Full: ``_full``'s stable sort and scan, on the full table, which
+       reuses the 64-QAM BERs that exit 2 computed.
 
-    Exit 1 is decided for all rows at once; the others build the BER table
-    of at most _BLOCK live rows at a time.
+    Exit 1 is decided for all rows at once; the others work on at most
+    _BLOCK live rows at a time.
     """
     rows, n_sc = g.shape
     # A prefix's exact numerator is at least min(BER) * den. The computed one
@@ -152,30 +177,34 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
 
 
 def _live_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray:
-    """``_loaded_bits`` exits 2 and 3, on one BER table of rows."""
+    """``_loaded_bits`` exits 2 and 3, on one block of rows."""
     rows, n_sc = g.shape
-    table, key, num0 = _ber_table(g, cp_loss)
-    k = min(_HEAD, 4 * n_sc)
-    head = (key > target_ber).sum(axis=1) < k
-    full = np.ones(rows, dtype=bool)
+    l0 = ber(Constellation.QAM64, g, cp_loss)
+    num0 = _num0(l0)
+    hot = l0 > target_ber
+    count = hot.sum(axis=1)
+    full = count >= _HEAD
     bits = np.zeros(rows, dtype=np.int64)
-    if head.any():
-        hkey = key[head]
-        r = np.arange(len(hkey))[:, None]
-        # the K largest keys in index order, then stably by descending key
-        top = np.sort(np.argpartition(-hkey, k - 1, axis=1)[:, :k], axis=1)
-        by = np.argsort(-hkey[r, top], axis=1, kind="stable")
-        order = top[r, by]
-        # only the keys above the K-th are surely the full order's first steps
-        sure = (hkey[r, order] > hkey[r, order[:, -1:]]).sum(axis=1)
-        _, den, met = _scan(table[head], num0[head], order, target_ber)
-        met &= np.arange(k + 1) <= sure[:, None]
+    sparse = np.flatnonzero(~full)
+    if len(sparse):
+        # the hot subcarriers packed in index order; the 0.0 padding is finite,
+        # as _scan weighs the entry after a BPSK step by 0, and keys no step
+        r, k = np.nonzero(hot[sparse])
+        col = np.cumsum(hot[sparse], axis=1)[r, k] - 1
+        packed = np.zeros((3, len(sparse), count[sparse].max()))
+        packed[:, r, col] = [l0[sparse[r], k],
+                             *(ber(c, g[sparse[r], k], cp_loss) for c in ACTIVE_LADDER[1:3])]
+        table, key = _levels(*packed)
+        m = (key > target_ber).sum(axis=1)
+        order = np.argsort(-key, axis=1, kind="stable")[:, :m.max()]
+        _, den, met = _scan(table, num0[sparse], order, target_ber, n_sc)
+        met &= np.arange(m.max() + 1) <= m[:, None]
         done = met.any(axis=1)
-        rows_done = np.flatnonzero(head)[done]
-        bits[rows_done] = den[done, met[done].argmax(axis=1)]
-        full[rows_done] = False
+        bits[sparse[done]] = den[done, met[done].argmax(axis=1)]
+        full[sparse[~done]] = True
     if full.any():
-        _, _, den, steps = _full(table[full], key[full], num0[full], target_ber)
+        table, key = _levels(l0[full], *(ber(c, g[full], cp_loss) for c in ACTIVE_LADDER[1:3]))
+        _, _, den, steps = _full(table, key, num0[full], target_ber)
         bits[full] = den[np.arange(len(den)), steps]
     return bits
 

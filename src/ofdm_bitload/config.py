@@ -95,6 +95,13 @@ class SystemConfig:
         return (self.nb.normalized_freq % 1.0) * self.ofdm.bandwidth_hz
 
 
+# The most subcarriers a config may set, eight times the paper's 128; memory
+# grows with N. At this bound and the other defaults, `profile-dump
+# --mc-symbols 4000` peaks at 326 MiB RSS (its 128 pulse lattices, L x N each)
+# and a 512-trial `sweep-snr` at 65 MiB (numpy 2.4, from 55 MiB after import).
+_MAX_SUBCARRIERS = 2 ** 10
+
+
 def _check(cond: bool, name: str) -> None:
     if not cond:
         raise DomainError(f"invariant violated: {name}")
@@ -115,8 +122,8 @@ def validate(cfg: SystemConfig) -> SystemConfig:
             _check(math.isfinite(getattr(getattr(cfg, section), field)), f"{key} finite")
     o, n, c, l = cfg.ofdm, cfg.nb, cfg.channel, cfg.link
     _check(o.bandwidth_hz > 0, "ofdm.bandwidth_hz > 0")
-    _check(isinstance(o.num_subcarriers, int) and o.num_subcarriers >= 1,
-           "ofdm.num_subcarriers positive integer")
+    _check(isinstance(o.num_subcarriers, int) and 1 <= o.num_subcarriers <= _MAX_SUBCARRIERS,
+           f"ofdm.num_subcarriers integer in [1, {_MAX_SUBCARRIERS}]")
     _check(o.cp_fraction >= 0, "ofdm.cp_fraction >= 0")
     _check(o.subcarrier_spacing_hz > 0, "ofdm.bandwidth_hz / ofdm.num_subcarriers > 0")
     _check(0.0 < o.cp_loss_factor <= 1.0, "cp loss factor in (0, 1]")

@@ -91,7 +91,7 @@ def trial_stream(base_seed: int, trial_index: int) -> np.random.Generator:
 def _trial_normals(base_seed: int, start: int, stop: int, count: int) -> np.ndarray:
     """The first ``count`` standard normals of each trial_stream start..stop-1,
     one row each: computed in arrays, or drawn from the trial's own stream
-    where the arrays do not give numpy's."""
+    where the arrays do not cover it."""
     normals, exact = fast_normals(base_seed, start, stop, count)
     for i in np.flatnonzero(~exact).tolist():
         normals[i] = trial_stream(base_seed, start + i).standard_normal(count)

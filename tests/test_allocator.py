@@ -279,9 +279,10 @@ def _ulps(x, k):
 @st.composite
 def sweep_blocks(draw):
     """A chunk of SINR rows, up to two BER-table blocks, and a target that
-    puts its rows on the edges of _loaded_bits' exits: the step count near K,
-    the minimum BER near the stopped bound or near the edge of the margin
-    past it that still goes to the table, or a fixed target."""
+    puts its rows on the edges of _loaded_bits' exits: the hot count near K,
+    the met step at a chosen step, the minimum BER near the stopped bound or
+    near the edge of the margin past it that still goes to the table, or a
+    fixed target."""
     n = draw(st.sampled_from([1, 2, 15, 16, 17, 128]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kinds = draw(st.lists(st.sampled_from(sorted(SWEEP_ROWS)), min_size=1, max_size=20))
@@ -289,14 +290,20 @@ def sweep_blocks(draw):
     cp_loss = draw(st.sampled_from([0.8, 1.0]))
     row = draw(st.integers(0, len(g) - 1))
     ulps = draw(st.integers(-2, 2))
-    how = draw(st.sampled_from(["fixed", "near-k", "near-min", "at-bound", "at-margin"]))
+    how = draw(st.sampled_from(["fixed", "near-k", "near-met", "near-min", "at-bound",
+                                "at-margin"]))
     table, key, num0 = _ber_table(g[row:row + 1], cp_loss)
-    _, num, den, _ = _full(table, key, num0, 1.0)
     if how == "fixed":
         target = draw(st.sampled_from([1e-1, 1e-2, 1e-4, 1e-6]))
     elif how == "near-k":
-        # the row's prefix mean just before, at or after step K meets the target there
-        p = min(max(min(_HEAD, 4 * n) + draw(st.integers(-2, 2)), 0), 4 * n - 1)
+        # the row's (K+d)-th largest 64-QAM BER, so that K-1, K or K+1 of its
+        # subcarriers are hot (fewer where N is smaller)
+        qam64 = np.sort(table[0, :, 0])[::-1]
+        target = qam64[min(_HEAD + draw(st.integers(-1, 1)), n - 1)]
+    elif how == "near-met":
+        # the row's prefix mean just before, at or after some step meets the target there
+        _, num, den, _ = _full(table, key, num0, 1.0)
+        p = draw(st.integers(0, 4 * n - 1))
         target = num[0, p] / den[0, p]
     elif how == "near-min":
         target = table.min()
@@ -310,11 +317,26 @@ def sweep_blocks(draw):
 
 
 class TestLoadedBits:
-    # N = 16, so K = 4N: 52 keys tied at 0 behind 12 nonzero ones, and the
-    # row meets at step 12, the last one the head trusts
+    # N = 16: 52 keys tied at 0 behind 12 nonzero ones, and the row meets at step 12
     @example(block=(np.array([[1e6] * 13 + [30.0] * 3]), 1e-15, 0.8))
     # N = 17: all 68 keys tied at the 64-QAM BER of SINR 0, just above the target
     @example(block=(np.zeros((2, 17)), 0.16, 0.8))
+    # no hot subcarrier (m = 0) in the first row, beside a row with 4
+    @example(block=(np.array([[1e6] * 16, [1e6] * 12 + [30.0] * 4]), 1e-4, 1.0))
+    # 16 hot subcarriers tied at one SINR, met only at step m = 16
+    @example(block=(np.full((1, 16), 100.0), 1e-4, 1.0))
+    # hot keys tied across subcarriers at two SINRs, in index order
+    @example(block=(np.array([[50.0, 1e6, 50.0, 80.0, 50.0, 80.0, 1e6, 1e6]]), 1e-4, 1.0))
+    # four subcarriers hot, their 64-QAM BERs 1.43-1.54 times the target: the
+    # greedy interleaves their steps, so every one of them must be packed
+    @example(block=(np.array([[5.47, 4.72, 122.0, 3.46, 4.1]]), 0.0909, 1.0))
+    # the first row's last hot subcarrier is nulled, and the entry after its
+    # BPSK step, which _scan weighs by 0, is the padding of a narrower row
+    @example(block=(np.array([[1e6] * 7 + [0.5], [0.5, 0.5] + [1e6] * 6]), 1e-4, 1.0))
+    # the target is the 16-QAM BER of every subcarrier: met at step m = 4 in
+    # exact arithmetic, but the computed sum misses it there by rounding, so
+    # the row leaves the sparse exit for the full one, which meets at step 5
+    @example(block=(np.full((1, 4), 168.9609962663654), 2.2996600681401973e-09, 1.0))
     @settings(max_examples=400, deadline=None)
     @given(block=sweep_blocks())
     def test_equals_full_reduction(self, block):

@@ -282,6 +282,16 @@ class TestConfigHandling:
         assert out == ""
         assert "channel.num_taps <= ofdm.num_subcarriers" in err
 
+    def test_subcarriers_above_bound_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "wide.cfg"
+        path.write_text("ofdm.num_subcarriers = 1025\n")
+        code, out, err = run_cli(capsys, "sweep-snr", "--config", str(path), "--trials", "2",
+                                 "--output", str(tmp_path / "snr.csv"))
+        assert code == 3
+        assert out == ""
+        assert "ofdm.num_subcarriers integer in [1, 1024]" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["wide.cfg"]
+
     @pytest.mark.parametrize("text", [
         "ofdm.bandwidth_hz = 5e-324", "ofdm.num_subcarriers = 200\nofdm.bandwidth_hz = 1e-322"],
         ids=["5e-324", "n200-1e-322"])

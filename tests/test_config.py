@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ofdm_bitload import DomainError, OfdmConfig, SystemConfig, updated, validate
-from ofdm_bitload.config import parse_config
+from ofdm_bitload.config import _MAX_SUBCARRIERS, parse_config
 
 
 class TestDerivedQuantities:
@@ -70,6 +70,16 @@ class TestValidation:
     def test_non_finite_rejected(self, base_cfg, key, value):
         with pytest.raises(DomainError, match="finite"):
             validate(updated(base_cfg, {key: value}))
+
+    @pytest.mark.parametrize("value", [_MAX_SUBCARRIERS + 1, 10 ** 30])
+    def test_subcarriers_above_bound_rejected(self, base_cfg, value):
+        # rejected when the config is built, before anything sized by N allocates
+        with pytest.raises(DomainError, match=r"ofdm.num_subcarriers integer in \[1, 1024\]"):
+            updated(base_cfg, {"ofdm.num_subcarriers": value})
+
+    def test_subcarriers_at_bound_accepted(self, base_cfg):
+        cfg = updated(base_cfg, {"ofdm.num_subcarriers": _MAX_SUBCARRIERS})
+        assert cfg.ofdm.num_subcarriers == _MAX_SUBCARRIERS
 
     def test_sections_updated_together(self, base_cfg):
         # 4 subcarriers admit 3 taps but not the default 5: the config is

@@ -1,8 +1,9 @@
 """The array-drawn trial streams against numpy's own Generator.
 
 A sweep computes each trial's first 2L standard normals in arrays
-(``streams.fast_normals``) and draws from the trial's ``trial_stream`` only
-the rows the arrays do not give exactly. numpy's Generator is the reference
+(``streams.fast_normals``), redraws a row that leaves the ziggurat's fast path
+from its seeded PCG64 state, and draws from the trial's ``trial_stream`` only
+the rows outside what the arrays cover. numpy's Generator is the reference
 throughout: a numpy release that changed its streams would fail here and in
 the frozen outputs together.
 """
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdm_bitload import calibrated_profile, draw_realization, sinr, updated
+from ofdm_bitload import streams
 from ofdm_bitload.experiments import _trial_normals, trial_sinrs, trial_stream
 from ofdm_bitload.streams import fast_normals
 
@@ -38,15 +40,47 @@ def test_rows_equal_numpy(seed, start, length, taps):
     np.testing.assert_array_equal(_trial_normals(seed, start, start + length, count), want)
     normals, exact = fast_normals(seed, start, start + length, count)
     np.testing.assert_array_equal(normals[exact], want[exact])
-    if seed >= 2 ** 128 or start + length > 2 ** 32:
-        assert not exact.any()
+    # the arrays cover every row of a range inside their domain, and none outside
+    assert (exact == (seed < 2 ** 128 and start + length <= 2 ** 32)).all()
 
 
-def test_most_rows_take_the_array_path():
+class CountingRedraw:
+    """streams' reused Generator, counting the rows drawn from it."""
+
+    def __init__(self, generator):
+        self.generator, self.rows = generator, 0
+
+    @property
+    def bit_generator(self):
+        return self.generator.bit_generator
+
+    def standard_normal(self, count):
+        self.rows += 1
+        return self.generator.standard_normal(count)
+
+
+@pytest.fixture
+def redraw(monkeypatch):
+    counting = CountingRedraw(streams._REDRAW)
+    monkeypatch.setattr(streams, "_REDRAW", counting)
+    return counting
+
+
+def test_most_rows_take_the_array_path(redraw):
     # about 1.4% of draws leave the ziggurat's fast path, so 13% of rows at 10 draws
     normals, exact = fast_normals(7, 0, 256, 10)
-    assert exact.mean() > 0.8
-    np.testing.assert_array_equal(normals[exact], numpy_rows(7, 0, 256, 10)[exact])
+    assert exact.all() and 0 < redraw.rows < 0.2 * 256
+    np.testing.assert_array_equal(normals, numpy_rows(7, 0, 256, 10))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 128 - 1])
+def test_rows_off_the_fast_path_redrawn_from_their_state(redraw, seed):
+    # at 128 taps nearly every row has a draw off the fast path; each is
+    # drawn from its own seeded state on the one reused Generator, so no row
+    # depends on the one before it
+    normals, exact = fast_normals(seed, 2 ** 32 - 40, 2 ** 32, 256)
+    assert exact.all() and redraw.rows > 30
+    np.testing.assert_array_equal(normals, numpy_rows(seed, 2 ** 32 - 40, 2 ** 32, 256))
 
 
 def test_sinrs_equal_one_draw_per_generator(base_cfg):
