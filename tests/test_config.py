@@ -47,6 +47,9 @@ class TestValidation:
         ("ofdm.bandwidth_hz", 5e-324),
         ("nb.bandwidth_hz", 0.0),
         ("nb.normalized_freq", -0.1),
+        # memory grows with N; the config is rejected before anything sized by N
+        ("ofdm.num_subcarriers", _MAX_SUBCARRIERS + 1),
+        ("ofdm.num_subcarriers", 10 ** 30),
         ("channel.num_taps", 0),
         # np.fft.fft(taps, N) would crop taps past N and lose their power
         ("channel.num_taps", 256),
@@ -70,12 +73,6 @@ class TestValidation:
     def test_non_finite_rejected(self, base_cfg, key, value):
         with pytest.raises(DomainError, match="finite"):
             validate(updated(base_cfg, {key: value}))
-
-    @pytest.mark.parametrize("value", [_MAX_SUBCARRIERS + 1, 10 ** 30])
-    def test_subcarriers_above_bound_rejected(self, base_cfg, value):
-        # rejected when the config is built, before anything sized by N allocates
-        with pytest.raises(DomainError, match=r"ofdm.num_subcarriers integer in \[1, 1024\]"):
-            updated(base_cfg, {"ofdm.num_subcarriers": value})
 
     def test_subcarriers_at_bound_accepted(self, base_cfg):
         cfg = updated(base_cfg, {"ofdm.num_subcarriers": _MAX_SUBCARRIERS})

@@ -44,43 +44,35 @@ def test_rows_equal_numpy(seed, start, length, taps):
     assert (exact == (seed < 2 ** 128 and start + length <= 2 ** 32)).all()
 
 
-class CountingRedraw:
-    """streams' reused Generator, counting the rows drawn from it."""
-
-    def __init__(self, generator):
-        self.generator, self.rows = generator, 0
-
-    @property
-    def bit_generator(self):
-        return self.generator.bit_generator
-
-    def standard_normal(self, count):
-        self.rows += 1
-        return self.generator.standard_normal(count)
+def off_fast_path(seed, start, stop, count):
+    """Which trial streams have a word among their first ``count`` that the
+    ziggurat's fast path rejects, read from numpy's own raw words."""
+    words = np.array([trial_stream(seed, t).bit_generator.random_raw(count)
+                      for t in range(start, stop)], dtype=np.uint64)
+    rabs = words >> np.uint64(9) & np.uint64((1 << 52) - 1)
+    return ~(rabs < streams._KI[(words & np.uint64(0xFF)).astype(np.intp)]).all(axis=1)
 
 
-@pytest.fixture
-def redraw(monkeypatch):
-    counting = CountingRedraw(streams._REDRAW)
-    monkeypatch.setattr(streams, "_REDRAW", counting)
-    return counting
-
-
-def test_most_rows_take_the_array_path(redraw):
-    # about 1.4% of draws leave the ziggurat's fast path, so 13% of rows at 10 draws
+def test_most_rows_take_the_array_path():
+    # about 1.4% of draws leave the ziggurat's fast path, so 13% of rows at
+    # 10 draws; those rows are redrawn from their seeded state
+    off = off_fast_path(7, 0, 256, 10)
+    assert 0 < off.mean() < 0.2
     normals, exact = fast_normals(7, 0, 256, 10)
-    assert exact.all() and 0 < redraw.rows < 0.2 * 256
+    assert exact.all()
     np.testing.assert_array_equal(normals, numpy_rows(7, 0, 256, 10))
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 128 - 1])
-def test_rows_off_the_fast_path_redrawn_from_their_state(redraw, seed):
-    # at 128 taps nearly every row has a draw off the fast path; each is
-    # drawn from its own seeded state on the one reused Generator, so no row
-    # depends on the one before it
-    normals, exact = fast_normals(seed, 2 ** 32 - 40, 2 ** 32, 256)
-    assert exact.all() and redraw.rows > 30
-    np.testing.assert_array_equal(normals, numpy_rows(seed, 2 ** 32 - 40, 2 ** 32, 256))
+def test_rows_off_the_fast_path_redrawn_from_their_state(seed):
+    # at 128 taps nearly every row leaves the fast path; each is redrawn from
+    # its own seeded state on one Generator, so no row depends on the one
+    # before it, up to the last index the arrays cover
+    start, stop = 2 ** 32 - 40, 2 ** 32
+    assert off_fast_path(seed, start, stop, 256).mean() > 0.75
+    normals, exact = fast_normals(seed, start, stop, 256)
+    assert exact.all()
+    np.testing.assert_array_equal(normals, numpy_rows(seed, start, stop, 256))
 
 
 def test_sinrs_equal_one_draw_per_generator(base_cfg):
