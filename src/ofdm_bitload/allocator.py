@@ -188,7 +188,8 @@ def _live_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray:
     sparse = np.flatnonzero(~full)
     if len(sparse):
         # the hot subcarriers packed in index order; the 0.0 padding is finite,
-        # as _scan weighs the entry after a BPSK step by 0, and keys no step
+        # as _scan weighs the entry after a BPSK step by 0, and its key is
+        # never above the target
         r, k = np.nonzero(hot[sparse])
         col = np.cumsum(hot[sparse], axis=1)[r, k] - 1
         packed = np.zeros((3, len(sparse), count[sparse].max()))
