@@ -5,8 +5,8 @@ Reproducibility contract: every trial derives its own random stream from
 (base_seed, grid point, trial index) via numpy SeedSequence spawn keys, and
 each chunk returns exact integer sums of whole-bit throughputs, so results
 are bit-identical for any worker count. A chunk computes its trials' channel
-normals in arrays (``streams.fast_normals``), bit for bit the streams' own,
-and draws from ``trial_stream`` only the trials the arrays do not cover.
+normals in arrays (``streams.trial_normals``), bit for bit the draws of
+each trial's own ``trial_stream``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .config import _KEY_MAP, SystemConfig, updated
 from .errors import DomainError
 from .interference import InterferenceProfile, calibrated_profile
 from .link import sinr
-from .streams import fast_normals
+from .streams import trial_normals
 
 _CHUNK = 256  # trials per pool task and per draw; the integer sums do not depend on it
 # The most trials a sweep point takes. run_sweep lists every (point, chunk)
@@ -88,16 +88,6 @@ def trial_stream(base_seed: int, trial_index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=base_seed, spawn_key=(trial_index,)))
 
 
-def _trial_normals(base_seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """The first ``count`` standard normals of each trial_stream start..stop-1,
-    one row each: computed in arrays, or drawn from the trial's own stream
-    where the arrays do not cover it."""
-    normals, exact = fast_normals(base_seed, start, stop, count)
-    for i in np.flatnonzero(~exact).tolist():
-        normals[i] = trial_stream(base_seed, start + i).standard_normal(count)
-    return normals
-
-
 _KIND_ID = {SweepKind.FN: 1, SweepKind.SNR: 2, SweepKind.SIGMA_H: 3}
 
 
@@ -112,7 +102,7 @@ def point_seed(base_seed: int, kind: SweepKind, point_index: int) -> int:
 def trial_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
                 start: int, stop: int, base_seed: int) -> np.ndarray:
     """SINRs of trials start..stop-1, one row each, each from its own channel draw."""
-    normals = _trial_normals(base_seed, start, stop, 2 * cfg.channel.num_taps)
+    normals = trial_normals(base_seed, start, stop, 2 * cfg.channel.num_taps)
     gains_sq = _from_normals(cfg.channel, cfg.ofdm, normals).gains_sq
     return sinr(gains_sq, cfg.link.symbol_power, cfg.link.noise_variance,
                 cfg.link.est_error_var, profile.variances)

@@ -148,6 +148,15 @@ _PHASES = 128
 # Blocks per synthesize_nb_blocks call in _nb_spectra. Each call draws its own
 # delays and symbols, so this fixes how the rng stream maps to blocks.
 _MC_BLOCKS = 2000
+# The most symbols L in a pulse lattice, and the most entries L x N in one.
+# A synthesize_nb_blocks call holds _MC_BLOCKS x L symbols and a run up to
+# _PHASES lattices of L x N, so memory grows with both. L = ceil((N - 1)
+# T_s / T) + 2 span + 5 is 39 at the defaults and 47 at N = 1024. At the
+# bounds, `profile-dump --mc-symbols 4000` peaks at 447 MiB RSS with L x N =
+# 64 x 1024 and at 538 MiB with 511 x 128 (numpy 2.4, from 55 MiB after
+# import); nb.bandwidth_hz = 1e8 at the defaults would give 7563 x 128.
+_MAX_LATTICE_SYMBOLS = 2 ** 9
+_MAX_LATTICE_SAMPLES = 2 ** 16
 
 
 def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
@@ -174,9 +183,14 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     t_s = cfg.ofdm.sample_period_s
     big_t = cfg.nb.symbol_period_s
     span = cfg.nb.pulse_span_symbols
-    l_lo = -span - 2
-    l_hi = int(np.ceil((n_sc - 1) * t_s / big_t)) + span + 2
-    ls = np.arange(l_lo, l_hi + 1)
+    # symbols -span-2 .. ceil((N-1) t_s / T) + span + 2 reach the block's samples
+    length = np.ceil((n_sc - 1) * t_s / big_t) + 2 * span + 5
+    if not (length <= _MAX_LATTICE_SYMBOLS and length * n_sc <= _MAX_LATTICE_SAMPLES):
+        raise DomainError(f"nb.pulse_span_symbols, nb.bandwidth_hz and ofdm.num_subcarriers: "
+                          f"the Monte Carlo pulse lattice of {length:.0f} symbols x {n_sc} "
+                          f"samples exceeds {_MAX_LATTICE_SYMBOLS} symbols or "
+                          f"{_MAX_LATTICE_SAMPLES} samples")
+    ls = np.arange(int(length)) - span - 2
     xi = rng.uniform(0.0, big_t, num_blocks)
     amp = np.sqrt(sigma_b2 / 2.0)
     symbols = amp * ((2 * rng.integers(0, 2, (num_blocks, ls.size)) - 1)

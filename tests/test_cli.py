@@ -350,6 +350,18 @@ class TestConfigHandling:
         assert "nb.bandwidth_hz and ofdm.bandwidth_hz" in err
         assert [p.name for p in tmp_path.iterdir()] == ["bw.cfg"]
 
+    def test_pulse_lattice_above_bound_exit_code(self, capsys, tmp_path):
+        # the analytic profile passes; the Monte Carlo column's 7563 x 128
+        # lattices would not
+        path = tmp_path / "wide.cfg"
+        path.write_text("nb.bandwidth_hz = 1e8\n")
+        code, out, err = run_cli(capsys, "profile-dump", "--config", str(path),
+                                 "--mc-symbols", "2000", "--output", str(tmp_path / "prof.csv"))
+        assert code == 3
+        assert out == ""
+        assert "pulse lattice of 7563 symbols x 128 samples" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["wide.cfg"]
+
     def test_missing_config_file_is_generic_error(self, capsys):
         code, _, err = run_cli(capsys, "allocate", "--config", "/nonexistent.cfg")
         assert code == 1

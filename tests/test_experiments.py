@@ -169,12 +169,6 @@ class TestRunSweep:
             assert 0.0 <= r.avg_throughput_bits <= 768
             assert r.stderr_bits >= 0.0
 
-    def test_deterministic_across_worker_counts(self, base_cfg, sweep_reference_csv):
-        spec = SweepSpec(SweepKind.SNR, (15.0, 25.0), 300, 5)
-        serial = sweep_reference_csv(run_sweep(spec, base_cfg, workers=1))
-        parallel = sweep_reference_csv(run_sweep(spec, base_cfg, workers=2))
-        assert serial == parallel
-
     def test_fixed_overrides_apply(self, base_cfg):
         spec = SweepSpec(SweepKind.SNR, (20.0,), 20, 2,
                          fixed={"link.sir_db": 20.0})

@@ -234,6 +234,31 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             mc_variance(base_cfg, 1.0, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("overrides, size", [
+        ({"ofdm.num_subcarriers": 1024, "nb.bandwidth_hz": 17e3, "nb.pulse_span_symbols": 24},
+         (64, 1024)),
+        ({"nb.pulse_span_symbols": 252}, (511, 128)),
+        ({"ofdm.num_subcarriers": 8, "nb.pulse_span_symbols": 253}, (512, 8))],
+        ids=["samples", "both", "symbols"])
+    def test_lattice_at_its_bounds_accepted(self, base_cfg, overrides, size):
+        # no block, so nothing is evaluated: the check alone passes
+        cfg = updated(base_cfg, overrides)
+        assert (symbol_indices(cfg).size, cfg.ofdm.num_subcarriers) == size
+        assert synthesize_nb_blocks(cfg, 1.0, 0, np.random.default_rng(0)).shape == (0, size[1])
+
+    @pytest.mark.parametrize("overrides", [
+        {"ofdm.num_subcarriers": 1024, "nb.bandwidth_hz": 17e3, "nb.pulse_span_symbols": 25},
+        {"ofdm.num_subcarriers": 8, "nb.pulse_span_symbols": 254},
+        {"nb.bandwidth_hz": 1e8}, {"nb.pulse_span_symbols": 4000}],
+        ids=["66x1024", "514x8", "7563x128", "8007x128"])
+    def test_lattice_above_its_bounds_rejected_before_any_draw(self, base_cfg, overrides):
+        # the last two would hold about 1 GiB of lattices
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="pulse lattice"):
+            synthesize_nb_blocks(updated(base_cfg, overrides), 1.0, 2000, rng)
+        assert rng.bit_generator.state == state
+
 
 def symbol_indices(cfg):
     """The interferer symbols l that synthesize_nb_blocks draws for each block."""
