@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
 """Write the frozen output CSVs that the test suite compares byte for byte.
 
-The three paper-figure scripts at 20 trials, seed 5 (14 CSVs); the
-worker-invariance criterion's sweep, 600 trials over SNR 10 and 30 dB at
-seed 2026, which crosses the 256-trial chunk boundary; the golden Table-1
-point, 10^4 trials at SNR 20 dB, SIR 0 dB, F_n 0.52, seed 42; and three
-Monte Carlo outputs at seed 3, each over 4097 blocks, which cross the
-2000-block chunk boundary twice: profile-dump's variance_mc column at the
-defaults and at F_n 0.437, SIR -10 dB, and the Gaussian-premise report of
-the first drawn allocation that meets its target. The report pins that
+The figure-fn, figure-snr and figure-sigma-h subcommands at 20 trials, seed
+5 (14 CSVs); the worker-invariance criterion's sweep, 600 trials over SNR 10
+and 30 dB at seed 2026, which crosses the 256-trial chunk boundary; the
+golden Table-1 point, 10^4 trials at SNR 20 dB, SIR 0 dB, F_n 0.52, seed 42;
+and three Monte Carlo outputs at seed 3, each over 4097 blocks, which cross
+the 2000-block chunk boundary twice: profile-dump's variance_mc column at
+the defaults and at F_n 0.437, SIR -10 dB, and the Gaussian-premise report
+of the first drawn allocation that meets its target. The report pins that
 draws made between chunks keep their place in the rng stream. Two more
 files hold the stdout of allocate and of verify --symbols 2000 at seed 3,
-whose one trial meets its target. Only the CSVs and these two stdout files
-are frozen, not the CSVs' JSON sidecars. The test suite runs write_csvs once
-per session (the regenerated_csvs fixture in tests/conftest.py);
-tests/test_scripts.py::test_sweep_csvs_match_their_frozen_bytes compares
-every file byte for byte with tests/data/, and acceptance criterion 10 the
-golden one.
+whose one trial meets its target. Every output but the premise report comes
+from an in-process ``cli.main`` run. Only the CSVs and these two stdout
+files are frozen, not the CSVs' JSON sidecars. The test suite runs
+write_csvs once per session (the regenerated_csvs fixture in
+tests/conftest.py); tests/test_scripts.py::test_sweep_csvs_match_their_frozen_bytes
+compares every file byte for byte with tests/data/, and acceptance
+criterion 10 the golden one.
 
-    python scripts/make_frozen_csvs.py [DIR]    (default: tests/data/)
+    PYTHONPATH=src python scripts/make_frozen_csvs.py [DIR]    (default: tests/data/)
 
 Re-freeze only for a change that is deliberately more exact, and record the
 old and new digests in CHANGES.md.
@@ -37,25 +38,20 @@ import numpy as np
 from ofdm_bitload import (AllocationStatus, SystemConfig, allocate, calibrated_profile, cli,
                           draw_realization, gaussian_premise_report, sinr)
 
-import run_fn_sweep
-import run_sigma_h_sweep
-import run_snr_sweep
-
 DEFAULT_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
-SCRIPT_ARGS = ["--trials", "20", "--seed", "5"]
-# (entry point, argv): each run writes its CSVs, named by itself, to the cwd
+FIGURE_ARGS = ["--trials", "20", "--seed", "5"]
+# CLI argv: each run writes its CSVs to the cwd
 RUNS = [
-    (run_fn_sweep.main, SCRIPT_ARGS),
-    (run_snr_sweep.main, SCRIPT_ARGS),
-    (run_sigma_h_sweep.main, SCRIPT_ARGS),
-    (cli.main, ["sweep-snr", "--trials", "600", "--seed", "2026", "--workers", "1",
-                "--output", "workers_snr_sweep.csv", "--grid", "10,30"]),
-    (cli.main, ["sweep-snr", "--trials", "10000", "--seed", "42", "--workers", "1",
-                "--output", "golden_snr_sweep.csv", "--grid", "20"]),
-    (cli.main, ["profile-dump", "--seed", "3", "--mc-symbols", "4097",
-                "--output", "mc_profile.csv"]),
-    (cli.main, ["profile-dump", "--seed", "3", "--mc-symbols", "4097",
-                "--fn", "0.437", "--sir-db", "-10", "--output", "mc_profile_fn0.437_sir-10.csv"]),
+    ["figure-fn", *FIGURE_ARGS],
+    ["figure-snr", *FIGURE_ARGS],
+    ["figure-sigma-h", *FIGURE_ARGS],
+    ["sweep-snr", "--trials", "600", "--seed", "2026", "--workers", "1",
+     "--output", "workers_snr_sweep.csv", "--grid", "10,30"],
+    ["sweep-snr", "--trials", "10000", "--seed", "42", "--workers", "1",
+     "--output", "golden_snr_sweep.csv", "--grid", "20"],
+    ["profile-dump", "--seed", "3", "--mc-symbols", "4097", "--output", "mc_profile.csv"],
+    ["profile-dump", "--seed", "3", "--mc-symbols", "4097",
+     "--fn", "0.437", "--sir-db", "-10", "--output", "mc_profile_fn0.437_sir-10.csv"],
 ]
 # file name -> CLI argv whose stdout (one JSON line) that file freezes
 STDOUT_RUNS = {
@@ -88,9 +84,9 @@ def write_csvs(out_dir) -> list:
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         os.chdir(tmp)
         try:
-            for entry, argv in RUNS:
-                if entry(argv):
-                    raise RuntimeError(f"{entry.__module__} {' '.join(argv)} failed")
+            for argv in RUNS:
+                if cli.main(argv):
+                    raise RuntimeError(f"ofdm-bitload {' '.join(argv)} failed")
             for name, argv in STDOUT_RUNS.items():
                 with redirect_stdout(io.StringIO()) as out:
                     if cli.main(argv):

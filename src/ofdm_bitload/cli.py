@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: sweep-fn, sweep-snr, sweep-sigma-h, allocate, profile-dump,
-verify. Machine-readable summaries go to stdout; progress and diagnostics to
-stderr. This is the one module that writes files: it formats each CSV, writes
-it atomically (temp file + rename) and puts a strict-JSON provenance sidecar
-next to it.
+Subcommands: sweep-fn, sweep-snr, sweep-sigma-h; figure-fn, figure-snr,
+figure-sigma-h, the paper's figures, one sweep per curve; allocate,
+profile-dump, verify. Machine-readable summaries go to stdout; progress and
+diagnostics to stderr. This is the one module that writes files: it formats
+each CSV, writes it atomically (temp file + rename) and puts a strict-JSON
+provenance sidecar next to it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ _SWEEP_DEFAULT_GRID = {
     SweepKind.FN: tuple(np.round(np.arange(0.40, 0.701, 0.02), 10).tolist()),
     SweepKind.SNR: tuple(float(x) for x in range(0, 41, 5)),
     SweepKind.SIGMA_H: (0.0, 0.001, 0.01, 0.1),
+}
+
+# The paper's three figures: subcommand -> (sweep kind, {CSV name: (config
+# key, value)}), one sweep over the kind's default grid per curve.
+_SIRS = (-20.0, -10.0, 0.0, 10.0, 20.0)
+_FIGURES = {
+    "figure-fn": (SweepKind.FN, {f"fn_sweep_sir{s:+g}.csv": ("link.sir_db", s) for s in _SIRS}),
+    "figure-snr": (SweepKind.SNR,
+                   {f"snr_sweep_sir{s:+g}.csv": ("link.sir_db", s) for s in _SIRS}),
+    "figure-sigma-h": (SweepKind.SNR, {f"sigma_h_sweep_{v:g}.csv": ("link.est_error_var", v)
+                                       for v in (0.0, 0.001, 0.01, 0.1)}),
 }
 
 # Link flags and the config keys they set; each flag stores under its key.
@@ -58,11 +70,11 @@ def csv_path(text: str) -> str:
     return text
 
 
-def flag_groups() -> tuple:
+def _flag_groups() -> tuple:
     """New parent parsers: common (--config, --seed) for every subcommand, run
-    (--trials, --workers) for the sweeps, output (--output) for the sweeps and
-    profile-dump. Build them for each parser: set_defaults on a child writes
-    through to the actions it shares with its parents."""
+    (--trials, --workers) for the sweeps and figures, output (--output) for the
+    sweeps and profile-dump. Build them for each parser: set_defaults on a
+    child writes through to the actions it shares with its parents."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="flat key-value config file (default: built-in defaults)")
@@ -71,7 +83,7 @@ def flag_groups() -> tuple:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--trials", type=at_least(1), default=100,
                      help="Monte Carlo trials per grid point (default %(default)s)")
-    run.add_argument("--workers", type=at_least(1), default=os.cpu_count() or 1,
+    run.add_argument("--workers", type=at_least(1), default=1,
                      help="worker processes, at most the CPU count (default %(default)s)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", type=csv_path,
@@ -96,19 +108,25 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, kind in (("sweep-fn", SweepKind.FN), ("sweep-snr", SweepKind.SNR),
                        ("sweep-sigma-h", SweepKind.SIGMA_H)):
         p = sub.add_parser(name, help=f"average-throughput sweep over {kind.name.lower()}",
-                           parents=flag_groups())
+                           parents=_flag_groups())
         p.set_defaults(kind=kind, run=_cmd_sweep, output=f"sweep_{kind.name.lower()}.csv")
         p.add_argument("--grid", type=grid, default=_SWEEP_DEFAULT_GRID[kind],
                        help="comma-separated grid values (default %(default)s)")
         # the swept key comes from the grid, so its own flag is not accepted
         link_flags(p, [f for f, key in _LINK_FLAGS.items() if key != kind.value])
 
+    # a figure names its own files, so it takes no --output and no link flag
+    for name, (kind, curves) in _FIGURES.items():
+        text = f"one sweep-{kind.name.lower()} per curve, writing {', '.join(curves)}"
+        p = sub.add_parser(name, help=text, description=text, parents=_flag_groups()[:2])
+        p.set_defaults(kind=kind, grid=_SWEEP_DEFAULT_GRID[kind], run=_cmd_figure, trials=2000)
+
     p = sub.add_parser("allocate", help="one-shot allocation for a single channel draw",
-                       parents=flag_groups()[:1])
+                       parents=_flag_groups()[:1])
     p.set_defaults(run=_cmd_allocate)
     link_flags(p, _LINK_FLAGS)
 
-    common, _, output = flag_groups()
+    common, _, output = _flag_groups()
     p = sub.add_parser("profile-dump", help="per-subcarrier interference variance CSV",
                        parents=[common, output])
     p.set_defaults(run=_cmd_profile_dump, output="interference_profile.csv")
@@ -118,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
 
     p = sub.add_parser("verify", help="symbol-level re-measurement of one allocation",
-                       parents=flag_groups()[:1])
+                       parents=_flag_groups()[:1])
     p.set_defaults(run=_cmd_verify)
     link_flags(p, _LINK_FLAGS)
     p.add_argument("--symbols", type=at_least(1), default=100_000,
@@ -184,6 +202,15 @@ def _cmd_sweep(args, cfg: SystemConfig) -> int:
     }
     csv_text = _csv([f.name for f in fields(SweepRecord)], map(astuple, records))
     return _write_outputs(args.output, csv_text, sidecar)
+
+
+def _cmd_figure(args, cfg: SystemConfig) -> int:
+    """One _cmd_sweep per curve, each on cfg with the curve's key set; a failed
+    curve stops the figure."""
+    for output, (key, value) in _FIGURES[args.command][1].items():
+        args.output = output
+        _cmd_sweep(args, updated(cfg, {key: value}))
+    return 0
 
 
 def _cmd_allocate(args, cfg: SystemConfig) -> int:

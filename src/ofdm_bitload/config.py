@@ -100,6 +100,12 @@ class SystemConfig:
 # --mc-symbols 4000` peaks at 326 MiB RSS (its 128 pulse lattices, L x N each)
 # and a 512-trial `sweep-snr` at 65 MiB (numpy 2.4, from 55 MiB after import).
 _MAX_SUBCARRIERS = 2 ** 10
+# The most interferer symbols the truncated pulse may span on each side, 4096
+# times the default 16. The routes that evaluate the pulse bound their own
+# sizes (the analytic profile's samples per half-span, the Monte Carlo
+# lattice's symbols), but both first take span * T as a float, and a span of
+# 10^400 has none: it would fail as an OverflowError, not a DomainError.
+_MAX_PULSE_SPAN = 2 ** 16
 
 
 def _check(cond: bool, name: str) -> None:
@@ -130,11 +136,14 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     _check(n.bandwidth_hz > 0, "nb.bandwidth_hz > 0")
     _check(0.0 <= n.rolloff <= 1.0, "nb.rolloff in [0, 1]")
     _check(n.normalized_freq >= 0, "nb.normalized_freq >= 0")
-    _check(isinstance(n.pulse_span_symbols, int) and n.pulse_span_symbols >= 1,
-           "nb.pulse_span_symbols positive integer")
+    _check(isinstance(n.pulse_span_symbols, int) and 1 <= n.pulse_span_symbols <= _MAX_PULSE_SPAN,
+           f"nb.pulse_span_symbols integer in [1, {_MAX_PULSE_SPAN}]")
     _check(isinstance(c.num_taps, int) and c.num_taps >= 1, "channel.num_taps >= 1")
     _check(c.num_taps <= o.num_subcarriers, "channel.num_taps <= ofdm.num_subcarriers")
     _check(c.decay_factor > 0, "channel.decay_factor > 0")
+    # the last tap's exponent; past a float it overflows in tap_variances
+    _check(math.isfinite(c.decay_factor * (c.num_taps - 1)),
+           "channel.decay_factor * (channel.num_taps - 1) finite")
     _check(l.est_error_var >= 0, "link.est_error_var >= 0")
     _check(0.0 < l.target_ber < 0.5, "link.target_ber in (0, 0.5)")
     _check(l.symbol_power > 0, "link.symbol_power > 0")

@@ -234,8 +234,15 @@ def mc_variance(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
     if num_symbols < 1:
         raise DomainError("num_symbols must be >= 1")
     acc = np.zeros(cfg.ofdm.num_subcarriers)
-    for spectra in _nb_spectra(cfg, sigma_b2, num_symbols, rng):
-        acc += (np.abs(spectra) ** 2).sum(axis=0)
+    try:
+        # a power near the float limit passes calibration at small N, but
+        # its |Z_k|^2 or their sum need not
+        with np.errstate(over="raise", invalid="raise"):
+            for spectra in _nb_spectra(cfg, sigma_b2, num_symbols, rng):
+                acc += (np.abs(spectra) ** 2).sum(axis=0)
+    except FloatingPointError:
+        raise DomainError(f"link.sir_db: the Monte Carlo profile overflows at interferer "
+                          f"symbol power {sigma_b2!r}") from None
     return InterferenceProfile(variances=acc / num_symbols, symbol_power=sigma_b2)
 
 

@@ -58,24 +58,6 @@ def frozen_dir() -> Path:
     return FROZEN_DIR
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def load_script(monkeypatch):
-    """Import scripts/<name>.py as a module, as python runs the script.
-
-    A script imports its shared _curves module from its own directory, which
-    python puts first on sys.path when it runs the script.
-    """
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    return _load_script
-
-
 @pytest.fixture(scope="session")
 def regenerated_csvs(tmp_path_factory):
     """(directory, names, seconds): scripts/make_frozen_csvs.py's CSVs, written
@@ -84,12 +66,13 @@ def regenerated_csvs(tmp_path_factory):
     seconds is the wall time of the load and the write_csvs call.
     """
     out_dir = tmp_path_factory.mktemp("regenerated")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(SCRIPTS))
-        start = time.monotonic()
-        names = _load_script("make_frozen_csvs").write_csvs(out_dir)
-        seconds = time.monotonic() - start
-    return out_dir, names, seconds
+    start = time.monotonic()
+    spec = importlib.util.spec_from_file_location("make_frozen_csvs",
+                                                  SCRIPTS / "make_frozen_csvs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    names = module.write_csvs(out_dir)
+    return out_dir, names, time.monotonic() - start
 
 
 @pytest.fixture

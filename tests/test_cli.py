@@ -9,10 +9,10 @@ import shutil
 import subprocess
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ofdm_bitload import SystemConfig, calibrated_profile
-from ofdm_bitload.config import config_as_dict
+from ofdm_bitload import DomainError, SystemConfig, calibrated_profile, updated
+from ofdm_bitload.config import _KEY_MAP, _MAX_PULSE_SPAN, config_as_dict, parse_config
 from ofdm_bitload.cli import _build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -282,6 +282,27 @@ class TestConfigHandling:
         assert out == ""
         assert "channel.num_taps <= ofdm.num_subcarriers" in err
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["profile-dump"], f"nb.pulse_span_symbols = {10 ** 400}",
+         "nb.pulse_span_symbols integer in [1, 65536]"),
+        (["allocate"], "channel.decay_factor = 1e308",
+         "channel.decay_factor * (channel.num_taps - 1) finite"),
+        # calibration passes at N = 1, but the Monte Carlo |Z_k|^2 overflow
+        (["profile-dump", "--mc-symbols", "20"],
+         "ofdm.num_subcarriers = 1\nchannel.num_taps = 1\nlink.sir_db = -3080",
+         "the Monte Carlo profile overflows")],
+        ids=["span-10^400", "decay-1e308", "mc-power-n1"])
+    def test_huge_config_value_exit_code(self, capsys, tmp_path, argv, text, message):
+        # the first two are rejected when the config is built, before span * T
+        # or the tap powers are computed
+        path = tmp_path / "huge.cfg"
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.cfg"]
+
     def test_subcarriers_above_bound_exit_code(self, capsys, tmp_path):
         path = tmp_path / "wide.cfg"
         path.write_text("ofdm.num_subcarriers = 1025\n")
@@ -464,6 +485,8 @@ _SUBCOMMANDS = {
                                         max_size=3).map(",".join)})
        for name, axis in (("sweep-fn", "--fn"), ("sweep-snr", "--snr-db"),
                           ("sweep-sigma-h", "--sigma-h2"))},
+    # a figure names its own files and sets its own curves' keys
+    **{name: {} for name in ("figure-fn", "figure-snr", "figure-sigma-h")},
 }
 
 
@@ -472,7 +495,7 @@ def _argv(draw):
     """(command, argv); argv is the command, then only flags the command takes."""
     command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
     argv = [command]
-    if command.startswith("sweep-"):
+    if command.startswith(("sweep-", "figure-")):
         argv += ["--workers", "1", f"--trials={draw(st.just('2') | _count_text(1, 2))}"]
     if draw(st.booleans()):
         argv.append(f"--seed={draw(_count_text(0, 10) | st.just(str(2 ** 70)))}")
@@ -489,15 +512,94 @@ def test_hostile_flags_exit_cleanly(capsys, tmp_path, drawn):
     """Any argv from the flag grammar exits 0, 2 (usage) or 3 (domain), never 1."""
     command, argv = drawn
     out_csv = tmp_path / "out.csv"
-    if command not in ("allocate", "verify"):
+    if command.startswith(("sweep-", "profile-")):
         argv = [*argv, "--output", str(out_csv)]
     code, out, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3), err
     if code == 0:
-        if out.strip() == str(out_csv):
+        if command.startswith("figure-"):
+            assert all((tmp_path / name).is_file() for name in out.split())
+        elif out.strip() == str(out_csv):
             assert out_csv.is_file()
         else:
             json.loads(out)
+    for sidecar in tmp_path.glob("*.json"):
+        strict_json(sidecar.read_text())
+
+
+# Per config key: in-range values, then boundary values. The in-range
+# bandwidths, spans and sizes keep the analytic profile's pulse under 2^18
+# samples per half-span (2^21 at the lattice-bound spans 253 and 254); any
+# other value stays within that or is rejected before anything is sized by
+# it, so no draw runs long or allocates much. The size keys reach just above
+# their bounds.
+_KEY_VALUES = {
+    "ofdm.bandwidth_hz": (st.floats(1e6, 2.5e6), "5e-324"),
+    "ofdm.num_subcarriers": (st.integers(1, 256), "0", "1024", "1025", str(10 ** 400)),
+    "ofdm.cp_fraction": (st.floats(0.0, 1.0), "0"),
+    "nb.bandwidth_hz": (st.floats(5e3, 6e4), "5e-324"),
+    "nb.rolloff": (st.floats(0.0, 1.0), "0", "1", "1.0000001"),
+    "nb.normalized_freq": (st.floats(0.0, 1.0), "0", "1"),
+    "nb.pulse_span_symbols": (st.integers(1, 24), "0", "253", "254", str(_MAX_PULSE_SPAN),
+                              str(_MAX_PULSE_SPAN + 1), str(10 ** 400)),
+    "channel.num_taps": (st.integers(1, 8), "0", "1024", "1025"),
+    "channel.decay_factor": (st.floats(0.01, 2.0), "5e-324", "2.5e307"),
+    "link.avg_snr_db": (st.floats(-10.0, 60.0),),
+    "link.sir_db": (st.floats(-30.0, 30.0),),
+    "link.est_error_var": (st.floats(0.0, 0.1), "0"),
+    "link.target_ber": (st.floats(1e-6, 0.1), "0", "0.5", "5e-324"),
+    "link.symbol_power": (st.floats(0.1, 10.0), "0", "5e-324"),
+}
+
+
+@st.composite
+def _config_values(draw):
+    """{key: value text}: any keys in range, then up to two of them set to a
+    boundary value or hostile text (NaN, +-inf, huge, negative, empty, no
+    number at all), so that a fair share of the drawn files build."""
+    values = draw(st.fixed_dictionaries(
+        {}, optional={key: in_range.map(repr) for key, (in_range, *_) in _KEY_VALUES.items()}))
+    for key in draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), max_size=2, unique=True)):
+        values[key] = draw(st.sampled_from([*_KEY_VALUES[key][1:], *_EXTREME, *_NOT_A_NUMBER]))
+    return values
+
+
+# the argv is valid, so only the config can fail a run
+_CONFIG_RUNS = [
+    ["profile-dump", "--mc-symbols", "20", "--output", "prof.csv"],
+    ["allocate"],
+    ["verify", "--symbols", "200"],
+    *([command, "--trials", "2", "--workers", "1", "--grid", grid, "--output", "sweep.csv"]
+      for command, grid in (("sweep-fn", "0.45"), ("sweep-snr", "20"),
+                            ("sweep-sigma-h", "0.01"))),
+]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_config_values())
+@example(values={"nb.pulse_span_symbols": str(10 ** 400)})
+@example(values={"channel.decay_factor": "1e308"})
+def test_hostile_config_files_exit_cleanly(capsys, tmp_path, values):
+    """A config file drawn key by key either builds a config or raises
+    DomainError, from parse_config and updated alike; every run on a config
+    they accept exits 0 or 3 (domain), never 1."""
+    assert sorted(_KEY_VALUES) == sorted(_KEY_MAP)
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    built = []
+    for build in (lambda: parse_config(text), lambda: updated(SystemConfig(), values)):
+        try:
+            built.append(build())
+        except DomainError:
+            built.append(None)
+    assert built[0] == built[1]
+    if built[0] is None:
+        return
+    path = tmp_path / "drawn.cfg"
+    path.write_text(text)
+    for argv in _CONFIG_RUNS:
+        code, _, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code in (0, 3), (argv, err)
     for sidecar in tmp_path.glob("*.json"):
         strict_json(sidecar.read_text())
 

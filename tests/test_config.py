@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ofdm_bitload import DomainError, OfdmConfig, SystemConfig, updated, validate
-from ofdm_bitload.config import _MAX_SUBCARRIERS, parse_config
+from ofdm_bitload.config import _MAX_PULSE_SPAN, _MAX_SUBCARRIERS, parse_config
 
 
 class TestDerivedQuantities:
@@ -54,6 +54,11 @@ class TestValidation:
         # np.fft.fft(taps, N) would crop taps past N and lose their power
         ("channel.num_taps", 256),
         ("channel.decay_factor", 0.0),
+        # n * decay, the exponent of tap n, overflows at the last tap, n = 4
+        ("channel.decay_factor", 1e308),
+        # span * T must be a float
+        ("nb.pulse_span_symbols", _MAX_PULSE_SPAN + 1),
+        pytest.param("nb.pulse_span_symbols", 10 ** 400, id="nb.pulse_span_symbols-10^400"),
         ("link.est_error_var", -1e-3),
         ("link.symbol_power", 0.0),
         ("link.target_ber", 0.5),
