@@ -25,7 +25,7 @@ from .allocator import AllocationResult, _loaded_bits, allocate
 from .channel import _from_normals
 from .config import _KEY_MAP, SystemConfig, updated
 from .errors import DomainError
-from .interference import InterferenceProfile, calibrated_profile
+from .interference import InterferenceProfile, _profile_key, calibrated_profile
 from .link import sinr
 from .streams import trial_normals
 
@@ -35,6 +35,12 @@ _CHUNK = 256  # trials per pool task and per draw; the integer sums do not depen
 # holds 34 MiB over the 9-point default SNR grid and 58 MiB over the
 # 16-point F_n grid (tracemalloc), where 10^9 trials would hold GiBs.
 _MAX_TRIALS = 10 ** 7
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise DomainError unless value is a Python or numpy integer >= low, not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}")
 
 
 class SweepKind(enum.Enum):
@@ -60,10 +66,8 @@ class SweepSpec:
             raise DomainError("sweep grid values must be finite real numbers")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise DomainError("sweep grid must be strictly increasing")
-        for name, low in (("trials", 1), ("base_seed", 0)):
-            value = getattr(self, name)  # a Python or numpy integer, but not a bool
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise DomainError(f"{name} must be an integer >= {low}")
+        _check_integer("trials", self.trials, 1)
+        _check_integer("base_seed", self.base_seed, 0)
         if self.trials > _MAX_TRIALS:
             raise DomainError(f"trials must be at most {_MAX_TRIALS}")
         for key in self.fixed:  # keys only: run_sweep judges a value against its cfg
@@ -111,6 +115,8 @@ def trial_sinrs(cfg: SystemConfig, profile: InterferenceProfile,
 def run_trial(cfg: SystemConfig, profile: InterferenceProfile,
               trial_index: int, base_seed: int = 0) -> AllocationResult:
     """One channel draw, one SINR vector, one allocation."""
+    _check_integer("trial_index", trial_index, 0)
+    _check_integer("base_seed", base_seed, 0)
     return allocate(trial_sinrs(cfg, profile, trial_index, trial_index + 1, base_seed)[0],
                     cfg.link.target_ber, cfg.ofdm.cp_loss_factor)
 
@@ -125,23 +131,24 @@ def _chunk_stats(cfg: SystemConfig, profile: InterferenceProfile,
 
 
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, workers: int = 1) -> list[SweepRecord]:
-    """One SweepRecord per grid value, each under its own calibrated profile.
+    """One SweepRecord per grid value, with one profile per distinct interferer.
 
     With ``workers`` > 1 and several chunks per point, one pool runs them all.
     The pool has at most one process per CPU: the records are the same for
     any worker count, and a spawned pool starts up to ``max_workers`` processes.
     """
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    _check_integer("workers", workers, 1)
     workers = min(workers, os.cpu_count() or 1)
     cfg, n = updated(cfg, spec.fixed), int(spec.trials)  # int: a numpy count would reach the CSV
     bounds = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     seeds = [point_seed(spec.base_seed, spec.kind, i) for i in range(len(spec.grid))]
-    tasks = []
+    tasks, profiles = [], {}
     for x, seed in zip(spec.grid, seeds):
         cfg_x = updated(cfg, {spec.kind.value: x})
-        profile = calibrated_profile(cfg_x)
-        tasks += [(cfg_x, profile, a, b, seed) for a, b in bounds]
+        key = _profile_key(cfg_x)
+        if key not in profiles:
+            profiles[key] = calibrated_profile(cfg_x)
+        tasks += [(cfg_x, profiles[key], a, b, seed) for a, b in bounds]
     if workers > 1 and len(bounds) > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:

@@ -246,11 +246,18 @@ def mc_variance(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
     return InterferenceProfile(variances=acc / num_symbols, symbol_power=sigma_b2)
 
 
+def _profile_key(cfg: SystemConfig) -> tuple:
+    """The config values calibrated_profile reads; equal keys give equal profiles."""
+    return cfg.ofdm, cfg.nb, cfg.link.sir_db, cfg.link.symbol_power
+
+
 def calibrated_profile(cfg: SystemConfig) -> InterferenceProfile:
     """Analytic profile scaled so the post-FFT SIR equals cfg.link.sir_db.
 
     SIR is the mean OFDM subcarrier power (symbol_power, since the channel is
-    gain-normalized) over the subcarrier-averaged interference variance.
+    gain-normalized) over the subcarrier-averaged interference variance. It
+    reads cfg.ofdm, cfg.nb, link.sir_db and link.symbol_power only
+    (``_profile_key``), not the channel or the other link keys.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):

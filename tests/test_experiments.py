@@ -63,6 +63,14 @@ class TestRunTrial:
         assert result.mean_ber <= base_cfg.link.target_ber
         assert 0 < result.throughput_bits <= 768
 
+    @pytest.mark.parametrize("trial_index, base_seed", [(1.5, 0), (-1, 0), (True, 0), (0, -1)])
+    def test_index_and_seed_not_nonnegative_integers(self, base_cfg, profile,
+                                                      trial_index, base_seed):
+        # unchecked, the draw would take 1.5 as trial 1 (np.arange truncates)
+        # and fail on -1 with a ValueError from numpy's seeding
+        with pytest.raises(DomainError, match="trial_index|base_seed"):
+            run_trial(base_cfg, profile, trial_index, base_seed)
+
     def test_flat_zero_interference_beats_baseline(self, base_cfg, profile):
         clean = InterferenceProfile(np.zeros(base_cfg.ofdm.num_subcarriers), float("nan"))
         for t in range(5):
@@ -178,14 +186,40 @@ class TestRunSweep:
         poor = run_sweep(spec_poor, base_cfg)[0]
         assert rich.avg_throughput_bits > poor.avg_throughput_bits
 
-    def test_snr_sweep_profile_is_the_calibrated_one(self, base_cfg, profile):
-        # the profile depends on the config alone, so a one-point sweep
-        # aggregates exactly the trials run_trial gives under calibrated_profile
-        spec = SweepSpec(SweepKind.SNR, (base_cfg.link.avg_snr_db,), 4, 5)
-        record = run_sweep(spec, base_cfg)[0]
-        bits = [run_trial(base_cfg, profile, t, record.seed).throughput_bits
-                for t in range(4)]
-        assert record.avg_throughput_bits == sum(bits) / 4
+    @pytest.mark.parametrize("kind, grid, calls", [
+        (SweepKind.SNR, (10.0, 20.0, 30.0), 1),
+        (SweepKind.SIGMA_H, (0.0, 0.01, 0.1), 1),
+        (SweepKind.FN, (0.3, 0.5, 0.52), 3)], ids=["snr", "sigma_h", "fn"])
+    def test_sweep_profiles_are_the_calibrated_ones(self, base_cfg, monkeypatch,
+                                                    kind, grid, calls):
+        # SNR and sigma_h^2 do not enter the profile, so their sweeps build
+        # one; each point still aggregates exactly the trials run_trial gives
+        # under a calibrated_profile built for that point alone
+        built = []
+        monkeypatch.setattr(experiments, "calibrated_profile",
+                            lambda cfg: built.append(cfg) or calibrated_profile(cfg))
+        records = run_sweep(SweepSpec(kind, grid, 4, 5), base_cfg)
+        assert len(built) == calls
+        for x, record in zip(grid, records):
+            cfg = updated(base_cfg, {kind.value: x})
+            results = [run_trial(cfg, calibrated_profile(cfg), t, record.seed)
+                       for t in range(4)]
+            assert record.avg_throughput_bits == sum(r.throughput_bits for r in results) / 4
+            assert record.stopped_fraction == sum(
+                r.status is AllocationStatus.TRANSMISSION_STOPPED for r in results) / 4
+
+    def test_failed_profile_raises_before_any_trial(self, base_cfg, monkeypatch):
+        # every point's profile is built before the first chunk runs
+        def fail_last(cfg):
+            if cfg.nb.normalized_freq == 0.52:
+                raise DomainError("no profile")
+            return calibrated_profile(cfg)
+        chunks = []
+        monkeypatch.setattr(experiments, "calibrated_profile", fail_last)
+        monkeypatch.setattr(experiments, "_chunk_stats", lambda *task: chunks.append(task))
+        with pytest.raises(DomainError, match="no profile"):
+            run_sweep(SweepSpec(SweepKind.FN, (0.3, 0.52), 4, 0), base_cfg)
+        assert chunks == []
 
     def test_fn_sweep_recomputes_profile(self, base_cfg):
         # distinct interferer offsets must not produce identical averages
@@ -194,8 +228,10 @@ class TestRunSweep:
         a, b = run_sweep(spec, base_cfg)
         assert a.avg_throughput_bits != b.avg_throughput_bits
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, 2.0, "2", True])
     def test_workers_below_one_rejected(self, base_cfg, workers):
+        # a float reaches the pool only at two chunks per point or more, where
+        # it is a TypeError; checked first, every value fails the same way
         spec = SweepSpec(SweepKind.SNR, (20.0,), 5, 0)
         with pytest.raises(DomainError, match="workers"):
             run_sweep(spec, base_cfg, workers=workers)

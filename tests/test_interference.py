@@ -6,7 +6,8 @@ from ofdm_bitload import (DomainError, NbConfig, SystemConfig, analytic_variance
                           calibrated_profile, mc_variance, updated)
 from ofdm_bitload import interference
 from ofdm_bitload.cli import main
-from ofdm_bitload.interference import rrc_pulse, synthesize_nb_blocks
+from ofdm_bitload.config import _KEY_MAP
+from ofdm_bitload.interference import _profile_key, rrc_pulse, synthesize_nb_blocks
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +481,40 @@ class TestCalibration:
         cfg = updated(base_cfg, overrides)
         with pytest.raises(DomainError, match="nb.bandwidth_hz and ofdm.bandwidth_hz"):
             calibrated_profile(cfg)
+
+
+# values within validate's bounds for each config key, with the other keys at
+# their defaults; the interferer's bandwidth and span are kept near the
+# defaults so that no profile sums more than about 10^5 pulse samples
+_KEY_VALUES = {
+    "ofdm.bandwidth_hz": st.floats(1e5, 1e7),
+    "ofdm.num_subcarriers": st.integers(5, 1024),
+    "ofdm.cp_fraction": st.floats(0.0, 1.0),
+    "nb.bandwidth_hz": st.floats(5e3, 6e4),
+    "nb.rolloff": st.floats(0.0, 1.0),
+    "nb.normalized_freq": st.floats(0.0, 100.0),
+    "nb.pulse_span_symbols": st.integers(1, 24),
+    "channel.num_taps": st.integers(1, 128),
+    "channel.decay_factor": st.floats(0.01, 2.0),
+    "link.avg_snr_db": st.floats(-10.0, 60.0),
+    "link.sir_db": st.floats(-30.0, 30.0),
+    "link.est_error_var": st.floats(0.0, 10.0),
+    "link.target_ber": st.floats(1e-6, 0.49),
+    "link.symbol_power": st.floats(0.1, 10.0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_MAP))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_profile_key_names_every_key_the_profile_reads(base_cfg, key, data):
+    # run_sweep builds one profile per distinct key: a key that leaves the
+    # profile key as it is must leave the profile as it is, bit for bit
+    cfg = updated(base_cfg, {key: data.draw(_KEY_VALUES[key], label=key)})
+    if _profile_key(cfg) == _profile_key(base_cfg):
+        a, b = calibrated_profile(base_cfg), calibrated_profile(cfg)
+        assert a.variances.tobytes() == b.variances.tobytes()
+        assert a.symbol_power.hex() == b.symbol_power.hex()
 
 
 class TestProfileUtilities:
