@@ -20,15 +20,22 @@ A sweep needs only each trial's loaded bits, so its rows sort only what
 they need and take the first of three exits that applies: a row whose
 smallest BER is above the target by more than the rounding bound is stopped
 with no BER table and no sort; a row with fewer than K = 64 hot subcarriers,
-those whose 64-QAM BER is above the target, sorts only their keys and is done
-if it meets within them; any other row takes the full sort. All three give
-the full sort's bits. The middle exit is exact because a key is a running
-minimum over its subcarrier's levels, so every key above the target is a hot
-subcarrier's. Say m keys are. The first m steps of the full stable order are
-those keys, sorted stably by descending key; after them every active BER is
-at or below the target, so in exact arithmetic the greedy meets by step m;
-and the prefix sums over them are the same terms in the same order, so they
-are the full scan's floats.
+those whose 64-QAM BER is above the target, sorts only its keys above the
+target and is done if it meets within them; any other row takes the full
+sort. All three give the full sort's bits. The middle exit is exact because a
+key is a running minimum over its subcarrier's levels, so every key above the
+target is a hot subcarrier's. Say m keys are. The first m steps of the full
+stable order are those keys, sorted stably by descending key; after them
+every active BER is at or below the target, so in exact arithmetic the greedy
+meets by step m; and the prefix sums over them are the same terms in the same
+order, so they are the full scan's floats.
+
+The live rows take the last two exits a slice at a time. The middle exit
+computes the 16-QAM and QPSK BERs at hot subcarriers only, and lays each
+row's steps above the target out in index order, padded to the widest of a
+group of rows of like m, for one stable sort and one prefix scan per group.
+The full exit builds its table for a few rows at a time. One ``_scan`` serves
+both, from each step's terms.
 """
 
 from __future__ import annotations
@@ -45,7 +52,9 @@ _BITS = np.array([int(c) for c in ACTIVE_LADDER])  # bits per symbol at ladder l
 _BITS_NEXT = np.append(_BITS[1:], 0)                 # bits per symbol after step (k, j)
 _DROP = _BITS - _BITS_NEXT                           # bits that step (k, j) removes
 _LOADS = ACTIVE_LADDER + (Constellation.NULL,)       # load after j steps down
-_BLOCK = 16  # rows per BER table in a sweep, which bounds its working memory
+_BLOCK = 16  # rows per full BER table in a sweep, which bounds its working memory
+_SLICE = 128  # live rows per slice in a sweep, whose 64-QAM BERs are computed at once
+_GROUP = 32  # sparse rows per padded array of exit 2, which bounds its working memory
 # K: a sweep row with K or more hot subcarriers skips the sparse exit for the
 # full table. At SNR 40-60 dB and SIR 20 dB a trial has 15-18 hot subcarriers
 # of 128 in the median and 26-32 at the 90th percentile; at SNR 20 dB, all 128.
@@ -67,13 +76,13 @@ class AllocationResult:
 
 
 def _levels(l0: np.ndarray, l1: np.ndarray, l2: np.ndarray):
-    """The BER table (rows x n x 4) of the 64-QAM, 16-QAM and QPSK BERs, BPSK's
+    """The BER table (... x n x 4) of the 64-QAM, 16-QAM and QPSK BERs, BPSK's
     being QPSK's expression Q(sqrt(2 g)), and its running minimum over the
-    levels, level by level: the sort key of each step s = 4k + j (rows x 4n)."""
+    levels, level by level: the sort key of each step s = 4k + j (... x 4n)."""
     k1 = np.minimum(l0, l1)
     k2 = np.minimum(k1, l2)
     return (np.stack([l0, l1, l2, l2], axis=-1),
-            np.stack([l0, k1, k2, k2], axis=-1).reshape(len(l0), -1))
+            np.stack([l0, k1, k2, k2], axis=-1).reshape(*l0.shape[:-1], -1))
 
 
 def _num0(l0: np.ndarray) -> np.ndarray:
@@ -90,24 +99,29 @@ def _ber_table(g: np.ndarray, cp_loss: float):
     return *_levels(l0, l1, l2), _num0(l0)
 
 
-def _scan(table: np.ndarray, num0: np.ndarray, order: np.ndarray, target_ber: float,
-          n_sc: int):
+def _terms(flat: np.ndarray, at: np.ndarray):
+    """Per step, at its index ``at`` in a flat table of 4 levels per subcarrier:
+    the term leaving the bit-weighted BER sum, the one entering it (the next
+    level's; none from BPSK, as the entry after it, another subcarrier's, weighs
+    0) and the bits the step drops."""
+    level = at % 4
+    return (_BITS[level] * flat[at], _BITS_NEXT[level] * flat[np.minimum(at + 1, flat.size - 1)],
+            _DROP[level])
+
+
+def _scan(num0: np.ndarray, leave: np.ndarray, enter: np.ndarray, drop: np.ndarray,
+          target_ber: float, n_sc: int):
     """The bit-weighted BER sum and the active bits after each prefix of the
-    steps ``order`` (rows x len+1) of ``n_sc`` subcarriers, and where the
-    target is met. ``table`` may hold only some of the subcarriers."""
-    rows, steps = order.shape
-    flat = table.ravel()
-    at = order + flat.size // rows * np.arange(rows)[:, None]
-    level = order % 4
-    # per step, the term leaving the sum, then the one entering it: the next
-    # level's, none from BPSK (the entry after it, another subcarrier's, weighs 0)
+    steps whose ``_terms`` are given (rows x steps each) of ``n_sc``
+    subcarriers, and where the target is met (rows x steps+1 each)."""
+    rows, steps = leave.shape
     seq = np.empty((rows, 2 * steps + 1))
     seq[:, 0] = num0
-    seq[:, 1::2] = -(_BITS[level] * flat[at])
-    seq[:, 2::2] = _BITS_NEXT[level] * flat[np.minimum(at + 1, flat.size - 1)]
+    np.negative(leave, out=seq[:, 1::2])
+    seq[:, 2::2] = enter
     num = np.add.accumulate(seq, axis=1, out=seq)[:, ::2]
     dropped = np.zeros((rows, steps + 1), dtype=np.int64)
-    np.cumsum(_DROP[level], axis=1, out=dropped[:, 1:])
+    np.cumsum(drop, axis=1, out=dropped[:, 1:])
     den = 6 * n_sc - dropped
     return num, den, (den > 0) & (num <= target_ber * den)
 
@@ -121,7 +135,8 @@ def _full(table: np.ndarray, key: np.ndarray, num0: np.ndarray, target_ber: floa
     each row's step count, 4N where it stops transmission.
     """
     order = np.argsort(-key, axis=1, kind="stable")
-    num, den, met = _scan(table, num0, order, target_ber, table.shape[1])
+    at = order + key.shape[1] * np.arange(len(key))[:, None]
+    num, den, met = _scan(num0, *_terms(table.ravel(), at), target_ber, table.shape[1])
     steps = np.where(met.any(axis=1), met.argmax(axis=1), key.shape[1])
     return order, num, den, steps
 
@@ -135,17 +150,21 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
        none meets the target: 0 bits, with no BER table.
     2. Sparse: fewer than K of its subcarriers are hot, their 64-QAM BER
        above the target. Only hot subcarriers have keys above the target, as
-       a key is a running minimum over the levels; say m keys are. Their
-       stable sort, with the hot subcarriers packed in index order, gives the
-       first m steps of the full stable order, and the prefix scan over them
-       is the full one's, term for term. After those steps every active BER
-       is at or below the target, so in exact arithmetic the row meets by
-       step m and is done; only rounding can send it on.
+       a key is a running minimum over the levels; say m keys are. They are
+       the first m steps of the full stable order, so their stable sort from
+       index order gives those steps, and the prefix scan over their terms is
+       the full one's, term for term. After those steps every active BER is
+       at or below the target, so in exact arithmetic the row meets by step
+       m and is done; only rounding can send it on.
     3. Full: ``_full``'s stable sort and scan, on the full table, which
        reuses the 64-QAM BERs that exit 2 computed.
 
-    Exit 1 is decided for all rows at once; the others work on at most
-    _BLOCK live rows at a time.
+    Exit 1 is decided for all rows at once. The others work on _SLICE live
+    rows at a time. A slice computes its 64-QAM BERs, num0 and hot mask
+    once. Its sparse rows take the other BERs at their hot entries only and
+    keep only their steps above the target, laid out in index order in
+    padded arrays of _GROUP rows of like m, each as wide as its largest m.
+    The rest go to exit 3 in tables of _BLOCK rows.
     """
     rows, n_sc = g.shape
     # A prefix's exact numerator is at least min(BER) * den. The computed one
@@ -170,43 +189,52 @@ def _loaded_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray
     low = np.minimum.reduce([ber(c, peak, cp_loss) for c in ACTIVE_LADDER[:3]])
     live = np.flatnonzero(low <= bound * (1.0 + 2.0 ** -36))
     bits = np.zeros(rows, dtype=np.int64)
-    for a in range(0, len(live), _BLOCK):
-        at = live[a:a + _BLOCK]
+    for a in range(0, len(live), _SLICE):
+        at = live[a:a + _SLICE]
         bits[at] = _live_bits(g[at], target_ber, cp_loss)
     return bits
 
 
 def _live_bits(g: np.ndarray, target_ber: float, cp_loss: float) -> np.ndarray:
-    """``_loaded_bits`` exits 2 and 3, on one block of rows."""
+    """``_loaded_bits`` exits 2 and 3, on one slice of rows."""
     rows, n_sc = g.shape
     l0 = ber(Constellation.QAM64, g, cp_loss)
     num0 = _num0(l0)
     hot = l0 > target_ber
-    count = hot.sum(axis=1)
-    full = count >= _HEAD
+    full = hot.sum(axis=1) >= _HEAD
     bits = np.zeros(rows, dtype=np.int64)
     sparse = np.flatnonzero(~full)
     if len(sparse):
-        # the hot subcarriers packed in index order; the 0.0 padding is finite,
-        # as _scan weighs the entry after a BPSK step by 0, and its key is
-        # never above the target
+        # the hot entries' BER table and keys, flat, and the steps above the
+        # target, each row's in index order (row, then s)
         r, k = np.nonzero(hot[sparse])
-        col = np.cumsum(hot[sparse], axis=1)[r, k] - 1
-        packed = np.zeros((3, len(sparse), count[sparse].max()))
-        packed[:, r, col] = [l0[sparse[r], k],
-                             *(ber(c, g[sparse[r], k], cp_loss) for c in ACTIVE_LADDER[1:3])]
-        table, key = _levels(*packed)
-        m = (key > target_ber).sum(axis=1)
-        order = np.argsort(-key, axis=1, kind="stable")[:, :m.max()]
-        _, den, met = _scan(table, num0[sparse], order, target_ber, n_sc)
-        met &= np.arange(m.max() + 1) <= m[:, None]
-        done = met.any(axis=1)
-        bits[sparse[done]] = den[done, met[done].argmax(axis=1)]
-        full[sparse[~done]] = True
-    if full.any():
-        table, key = _levels(l0[full], *(ber(c, g[full], cp_loss) for c in ACTIVE_LADDER[1:3]))
-        _, _, den, steps = _full(table, key, num0[full], target_ber)
-        bits[full] = den[np.arange(len(den)), steps]
+        table, key = _levels(l0[sparse[r], k],
+                             *(ber(c, g[sparse[r], k], cp_loss) for c in ACTIVE_LADDER[1:3]))
+        step = np.flatnonzero(key > target_ber)
+        m = np.bincount(r[step // 4], minlength=len(sparse))
+        first = np.cumsum(m) - m
+        kept, terms = key[step], _terms(table.ravel(), step)
+        # rows of like m side by side, so that each padded array is about as
+        # wide as its rows' m
+        for group in np.array_split(np.argsort(m, kind="stable"), -(-len(m) // _GROUP)):
+            at, w = sparse[group], np.arange(m[group].max())
+            pad = w >= m[group, None]
+            # each row's steps laid out from its first, padded with key 0.0,
+            # below the target, so that the padding sorts last
+            pick = np.where(pad, 0, first[group, None] + w)
+            order = np.argsort(-np.where(pad, 0.0, kept[pick]), axis=1, kind="stable")
+            pick = np.take_along_axis(pick, order, axis=1)
+            _, den, met = _scan(num0[at], *(t[pick] for t in terms), target_ber, n_sc)
+            met &= np.arange(len(w) + 1) <= m[group, None]
+            done = met.any(axis=1)
+            bits[at[done]] = den[done, met[done].argmax(axis=1)]
+            full[at[~done]] = True
+    rest = np.flatnonzero(full)
+    for a in range(0, len(rest), _BLOCK):
+        at = rest[a:a + _BLOCK]
+        table, key = _levels(l0[at], *(ber(c, g[at], cp_loss) for c in ACTIVE_LADDER[1:3]))
+        _, _, den, steps = _full(table, key, num0[at], target_ber)
+        bits[at] = den[np.arange(len(at)), steps]
     return bits
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .allocator import AllocationResult, _loaded_bits, allocate
 from .channel import _from_normals
 from .config import _KEY_MAP, SystemConfig, updated
-from .errors import DomainError
+from .errors import DomainError, _check_integer
 from .interference import InterferenceProfile, _profile_key, calibrated_profile
 from .link import sinr
 from .streams import trial_normals
@@ -35,12 +35,6 @@ _CHUNK = 256  # trials per pool task and per draw; the integer sums do not depen
 # holds 34 MiB over the 9-point default SNR grid and 58 MiB over the
 # 16-point F_n grid (tracemalloc), where 10^9 trials would hold GiBs.
 _MAX_TRIALS = 10 ** 7
-
-
-def _check_integer(name: str, value, low: int) -> None:
-    """Raise DomainError unless value is a Python or numpy integer >= low, not a bool."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        raise DomainError(f"{name} must be an integer >= {low}")
 
 
 class SweepKind(enum.Enum):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NbConfig, SystemConfig
-from .errors import DomainError
+from .errors import DomainError, _check_integer
 
 
 def rrc_pulse(nb: NbConfig, t):
@@ -179,6 +179,7 @@ def synthesize_nb_blocks(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
     to all its calls, so each drawn phase is evaluated once per run. The
     default, a new dict, keeps nothing between calls.
     """
+    _check_integer("num_blocks", num_blocks, 0)
     n_sc = cfg.ofdm.num_subcarriers
     t_s = cfg.ofdm.sample_period_s
     big_t = cfg.nb.symbol_period_s
@@ -231,8 +232,7 @@ def _nb_spectra(cfg: SystemConfig, sigma_b2: float, num_blocks: int,
 def mc_variance(cfg: SystemConfig, sigma_b2: float, num_symbols: int,
                 rng: np.random.Generator) -> InterferenceProfile:
     """Monte Carlo profile: mean |Z_k|^2 over num_symbols synthesized blocks."""
-    if num_symbols < 1:
-        raise DomainError("num_symbols must be >= 1")
+    _check_integer("num_symbols", num_symbols, 1)
     acc = np.zeros(cfg.ofdm.num_subcarriers)
     try:
         # a power near the float limit passes calibration at small N, but

@@ -34,11 +34,13 @@ from . import link
 from .allocator import AllocationResult, AllocationStatus
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .errors import DomainError
+from .errors import DomainError, _check_integer
 from .interference import InterferenceProfile, _nb_spectra
 from .link import Constellation, ber
 
 _MAX_CHUNK = 1 << 21
+# set bits of 0..7, the XOR of two Gray codes of at most 8 levels
+_POPCOUNT = np.array([0, 1, 1, 2, 1, 2, 2, 3], dtype=np.uint8)
 # measure_ber refuses a bit count whose expected error count is below this
 _MIN_EXPECTED_ERRORS = 100.0
 
@@ -63,11 +65,19 @@ def _geometry(constellation: Constellation, symbol_power: float) -> tuple[int, f
 
 def _pam_errors(levels: int, step: float, tx: np.ndarray, noise: np.ndarray) -> int:
     """Bit errors of Gray-coded PAM symbols tx (level indices) sent through noise."""
-    idx = np.arange(levels)
+    idx = np.arange(levels, dtype=np.uint8)
     codes = idx ^ (idx >> 1)
-    rx = (2 * tx - (levels - 1)) * step + noise
-    hard = np.clip(np.round((rx / step + (levels - 1)) / 2.0), 0, levels - 1).astype(int)
-    return int(np.unpackbits((codes[tx] ^ codes[hard]).astype(np.uint8)).sum())
+    # the received amplitude, then its nearest level, in place
+    rx = 2 * tx
+    rx -= levels - 1
+    rx = rx * step
+    rx += noise
+    rx /= step
+    rx += levels - 1
+    rx /= 2.0
+    np.rint(rx, out=rx)
+    np.clip(rx, 0, levels - 1, out=rx)
+    return int(_POPCOUNT[codes[tx] ^ codes[rx.astype(np.uint8)]].sum())
 
 
 def _count_bit_errors(constellation: Constellation, geff: float, num_symbols: int,
@@ -84,7 +94,9 @@ def _count_bit_errors(constellation: Constellation, geff: float, num_symbols: in
         n = min(_MAX_CHUNK, num_symbols - done)
         for _ in range(axes):
             tx = rng.integers(0, levels, n)
-            errors += _pam_errors(levels, step, tx, std * rng.standard_normal(n))
+            noise = rng.standard_normal(n)
+            noise *= std
+            errors += _pam_errors(levels, step, tx, noise)
         done += n
     return errors
 
@@ -94,6 +106,7 @@ def measure_ber(constellation: Constellation, sinr: float, cp_loss: float,
     """Empirical BER from hard-decision transmission at effective SNR cp_loss*sinr."""
     if constellation is Constellation.NULL:
         raise DomainError("cannot measure BER on a nulled subcarrier")
+    _check_integer("num_bits", num_bits, 1)
     predicted = ber(constellation, sinr, cp_loss)
     if predicted * num_bits < _MIN_EXPECTED_ERRORS:
         raise DomainError(
@@ -111,8 +124,7 @@ def measure_ber(constellation: Constellation, sinr: float, cp_loss: float,
 def measure_allocation_ber(sinrs, loads, cp_loss: float, num_ofdm_symbols: int,
                            rng: np.random.Generator) -> float:
     """Bit-weighted empirical mean BER of a fixed allocation over AWGN trials."""
-    if num_ofdm_symbols < 1:
-        raise DomainError(f"num_ofdm_symbols must be >= 1, got {num_ofdm_symbols}")
+    _check_integer("num_ofdm_symbols", num_ofdm_symbols, 1)
     total_bits = 0
     total_errors = 0
     for g, load in zip(np.asarray(sinrs, dtype=float), loads):

@@ -278,15 +278,17 @@ def _ulps(x, k):
 
 @st.composite
 def sweep_blocks(draw):
-    """A chunk of SINR rows, up to two BER-table blocks, and a target that
-    puts its rows on the edges of _loaded_bits' exits: the hot count near K,
-    the met step at a chosen step, the minimum BER near the stopped bound or
-    near the edge of the margin past it that still goes to the table, or a
-    fixed target."""
+    """A chunk of SINR rows and a target that puts one of them on the edges of
+    _loaded_bits' exits: the hot count near K, the met step at a chosen step,
+    the minimum BER near the stopped bound or near the edge of the margin past
+    it that still goes to the table, or a fixed target. The chunk holds up to
+    20 rows, or up to 20 runs of 16 rows of one kind each, so that rows of
+    every exit and of very different m share a slice and its padded arrays."""
     n = draw(st.sampled_from([1, 2, 15, 16, 17, 128]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kinds = draw(st.lists(st.sampled_from(sorted(SWEEP_ROWS)), min_size=1, max_size=20))
-    g = np.stack([SWEEP_ROWS[kind](rng, n) for kind in kinds])
+    run = draw(st.sampled_from([1, 16]))
+    g = np.stack([SWEEP_ROWS[kind](rng, n) for kind in kinds for _ in range(run)])
     cp_loss = draw(st.sampled_from([0.8, 1.0]))
     row = draw(st.integers(0, len(g) - 1))
     ulps = draw(st.integers(-2, 2))
@@ -337,6 +339,17 @@ class TestLoadedBits:
     # exact arithmetic, but the computed sum misses it there by rounding, so
     # the row leaves the sparse exit for the full one, which meets at step 5
     @example(block=(np.full((1, 4), 168.9609962663654), 2.2996600681401973e-09, 1.0))
+    # the same row as row 130 of a chunk longer than one slice, among rows with
+    # no, one or four hot subcarriers (m = 0, 1 and 8) and stopped ones, so that
+    # its padded array is wider than its m
+    @example(block=(np.insert(np.repeat([[1e6] * 4, [168.9609962663654] + [1e6] * 3,
+                                         [100.0] * 4, [0.0] * 4], 50, axis=0),
+                              130, 168.9609962663654, axis=0), 2.2996600681401973e-09, 1.0))
+    # all seven subcarriers at QPSK after the m = 14 steps, their BER the target:
+    # the computed sums miss it there and at every later step, so the row stops,
+    # while its padded array (as wide as the m = 24 of the row above it) goes on
+    @example(block=(np.array([[10.0] * 6 + [1e6], [12.502080380862472] * 7]),
+                    2.860336520180525e-07, 1.0))
     @settings(max_examples=400, deadline=None)
     @given(block=sweep_blocks())
     def test_equals_full_reduction(self, block):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ofdm_bitload import (AllocationStatus, Constellation, DomainError,
-                          allocate, ber, calibrated_profile, draw_realization, measure_ber,
-                          sinr, updated)
+                          allocate, ber, calibrated_profile, draw_realization, mc_variance,
+                          measure_ber, sinr, synthesize_nb_blocks, updated)
 from ofdm_bitload.experiments import run_trial, trial_stream
 from ofdm_bitload.verifier import (_geometry, _pam_errors, gaussian_premise_report,
                                    measure_allocation_ber)
@@ -12,6 +12,28 @@ from ofdm_bitload.verifier import (_geometry, _pam_errors, gaussian_premise_repo
 def _bits_for(constellation, g, cp, target_errors=4000):
     predicted = ber(constellation, g, cp)
     return int(np.ceil(target_errors / predicted))
+
+
+# each count argument of the Monte Carlo and symbol-level routes, with the
+# value numpy or Python would otherwise reject with another error, run as 1,
+# or round up to one symbol more
+COUNTS = {
+    "num_symbols": lambda cfg, n, rng: mc_variance(cfg, 1.0, n, rng),
+    "num_blocks": lambda cfg, n, rng: synthesize_nb_blocks(cfg, 1.0, n, rng),
+    "num_ofdm_symbols": lambda cfg, n, rng: measure_allocation_ber(
+        [10.0], [Constellation.QPSK], 0.8, n, rng),
+    "num_bits": lambda cfg, n, rng: measure_ber(Constellation.BPSK, 3.0, 0.8, n, rng),
+}
+
+
+@pytest.mark.parametrize("name,count", [
+    ("num_symbols", 2.5), ("num_symbols", True), ("num_blocks", 2.5), ("num_blocks", -1),
+    ("num_ofdm_symbols", 2.5), ("num_bits", float("nan")), ("num_bits", float("inf")),
+    ("num_bits", 100000.5),
+])
+def test_count_argument_not_a_valid_integer_rejected(base_cfg, name, count):
+    with pytest.raises(DomainError, match=name):
+        COUNTS[name](base_cfg, count, np.random.default_rng(0))
 
 
 class TestMeasureBer:
